@@ -1,9 +1,14 @@
 """Test-signal definitions, grid sampling, and empirical regularity bounds.
 
-Signals are small frozen dataclasses evaluated pointwise. ``Piecewise``
-segments run on local time (a segment starting at ``s`` evaluates its child
-at ``t - s``) and are right-continuous at their boundaries, so a jump placed
-on a grid point is seen by the sampler at its new value.
+Signals are small frozen dataclasses. ``at(t)`` evaluates one time and
+``at_array(t)`` a whole array of times; ``at_array`` must equal ``at`` bit
+for bit at every point (same float operations in the same order), because
+the certificates and the verifier evaluate signals through ``at_array``
+while the sampler uses ``at``. A new signal kind must provide both.
+``Piecewise`` segments run on local time (a segment starting at ``s``
+evaluates its child at ``t - s``) and are right-continuous at their
+boundaries, so a jump placed on a grid point is seen by the sampler at its
+new value.
 
 Two empirical regularity certificates back the verification machinery:
 
@@ -19,7 +24,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -39,11 +44,16 @@ __all__ = [
     "sample",
     "sample_count",
     "cell_points",
+    "cell_grid",
     "estimate_variation_bound",
     "fit_growth_bound",
     "verify_growth",
     "discontinuities",
 ]
+
+# Grid cells evaluated per numpy batch by the cell-grid kernels; bounds their
+# temporaries to a few hundred kB whatever the trace length.
+CHUNK_CELLS = 1024
 
 
 @dataclass(frozen=True)
@@ -53,6 +63,9 @@ class Constant:
     def at(self, t: float) -> float:
         return self.level
 
+    def at_array(self, t: np.ndarray) -> np.ndarray:
+        return np.full(t.shape, self.level, dtype=float)
+
 
 @dataclass(frozen=True)
 class Ramp:
@@ -60,6 +73,9 @@ class Ramp:
     intercept: float
 
     def at(self, t: float) -> float:
+        return self.intercept + self.slope * t
+
+    def at_array(self, t: np.ndarray) -> np.ndarray:
         return self.intercept + self.slope * t
 
 
@@ -72,12 +88,16 @@ class Sine:
     def at(self, t: float) -> float:
         return self.amplitude * math.sin(2.0 * math.pi * self.frequency_hz * t + self.phase)
 
+    def at_array(self, t: np.ndarray) -> np.ndarray:
+        return self.amplitude * np.sin(2.0 * math.pi * self.frequency_hz * t + self.phase)
+
 
 @dataclass(frozen=True)
 class Piecewise:
     """Segments of (start_time, signal); each runs on its own local clock."""
 
     segments: tuple[tuple[float, "SignalSpec"], ...]
+    _starts: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         segs = tuple((float(s), spec) for s, spec in self.segments)
@@ -86,15 +106,24 @@ class Piecewise:
             raise ParameterError("piecewise signal needs at least one segment")
         if segs[0][0] != 0.0:
             raise ParameterError(f"first segment must start at 0, got {segs[0][0]}")
-        starts = [s for s, _ in segs]
+        starts = tuple(s for s, _ in segs)
         if any(b <= a for a, b in zip(starts, starts[1:])):
-            raise ParameterError(f"segment start times must strictly increase: {starts}")
+            raise ParameterError(f"segment start times must strictly increase: {list(starts)}")
+        object.__setattr__(self, "_starts", starts)
 
     def at(self, t: float) -> float:
-        starts = [s for s, _ in self.segments]
-        i = max(bisect_right(starts, t) - 1, 0)
+        i = max(bisect_right(self._starts, t) - 1, 0)
         start, spec = self.segments[i]
         return spec.at(t - start)
+
+    def at_array(self, t: np.ndarray) -> np.ndarray:
+        index = np.maximum(np.searchsorted(self._starts, t, side="right") - 1, 0)
+        out = np.empty_like(t)
+        for i, (start, spec) in enumerate(self.segments):
+            mask = index == i
+            if mask.any():
+                out[mask] = spec.at_array(t[mask] - start)
+        return out
 
 
 SignalSpec = Union[Constant, Ramp, Sine, Piecewise]
@@ -168,12 +197,20 @@ def sample(spec: SignalSpec, delta: float, horizon: float) -> SampledSignal:
     return SampledSignal(delta=delta, values=values, spec=spec)
 
 
+def cell_grid(ks: np.ndarray, delta: float, factor: int) -> np.ndarray:
+    """Oversampled times covering the cells [k*delta, (k+1)*delta] of ``ks``,
+    one row per cell: ``k*delta + j*(delta/factor)`` for j < factor, then
+    ``(k+1)*delta``, so both endpoints sit on the grid exactly."""
+    ks = np.asarray(ks, dtype=np.int64)
+    grid = np.empty((len(ks), factor + 1))
+    grid[:, :factor] = (ks * delta)[:, None] + np.arange(factor) * (delta / factor)
+    grid[:, factor] = (ks + 1) * delta
+    return grid
+
+
 def cell_points(k: int, delta: float, factor: int) -> list[float]:
-    """Oversampled times covering cell [k*delta, (k+1)*delta], endpoints on
-    the grid exactly."""
-    step = delta / factor
-    t0 = k * delta
-    return [t0 + j * step for j in range(factor)] + [(k + 1) * delta]
+    """The one-cell row of :func:`cell_grid`."""
+    return cell_grid(np.array([k]), delta, factor)[0].tolist()
 
 
 def estimate_variation_bound(
@@ -195,17 +232,15 @@ def estimate_variation_bound(
         raise ParameterError(f"empty window: {window}")
     k_lo = max(int(math.floor(alpha / delta)) - 1, 0)
     k_hi = int(math.ceil(beta / delta)) + 1
-    worst = 0.0
-    cells = 0
-    for k in range(k_lo, k_hi):
-        if k * delta < alpha or (k + 1) * delta > beta:
-            continue
-        cells += 1
-        x0 = spec.at(k * delta)
-        for t in cell_points(k, delta, oversample_factor):
-            worst = max(worst, abs(spec.at(t) - x0))
-    if cells == 0:
+    ks = np.arange(k_lo, k_hi, dtype=np.int64)
+    ks = ks[~((ks * delta < alpha) | ((ks + 1) * delta > beta))]
+    if len(ks) == 0:
         raise DomainError(f"window {window} contains no full grid cell at delta={delta}")
+    worst = 0.0
+    for lo in range(0, len(ks), CHUNK_CELLS):
+        x = spec.at_array(cell_grid(ks[lo:lo + CHUNK_CELLS], delta, oversample_factor))
+        # column 0 is x(t_k); fmax skips NaN as the comparison max(worst, err) would
+        worst = max(worst, float(np.fmax.reduce(np.abs(x - x[:, :1]), axis=None)))
     return VariationBound(rate=worst / delta, window=(alpha, beta), oversample_factor=oversample_factor)
 
 

@@ -28,9 +28,11 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .codec import AdaptationRule, CodecParams, Trace, reconstruct
+import numpy as np
+
+from .codec import AdaptationRule, CodecParams, StepRecord, Trace
 from .errors import DivergenceError, DomainError, ParameterError
-from .signals import GrowthBound, SampledSignal, VariationBound, cell_points
+from .signals import CHUNK_CELLS, GrowthBound, SampledSignal, VariationBound, cell_grid
 
 __all__ = [
     "Violation",
@@ -173,10 +175,15 @@ def detect_settling(
     _check_grids(trace, x_samples)
     bound = steady_error_bounds(params, rate)[0]
     for k in range(start_index, len(trace)):
-        record = trace.records[k]
-        if record.m == params.mbar and abs(x_samples.values[k] - record.y) <= bound:
+        if _settled(trace.records[k], x_samples.values[k], params.mbar, bound):
             return k
     return None
+
+
+def _settled(record: StepRecord, x: float, mbar: float, sample_bound: float) -> bool:
+    """The settling predicate: slope exactly on the floor, sample error
+    inside the steady band."""
+    return record.m == mbar and abs(x - record.y) <= sample_bound
 
 
 def restart_index(delta: float, time: float) -> int:
@@ -313,8 +320,7 @@ def _check_settling_and_steady(report, trace, x_samples, rate, switches, factor)
         report.eta_window_end = report.tau + window
         last = min(report.eta_window_end, n - 1)
         settled = any(
-            records[k].m == params.mbar
-            and abs(xs[k] - records[k].y) <= report.sample_error_bound
+            _settled(records[k], xs[k], params.mbar, report.sample_error_bound)
             for k in range(report.tau, last + 1)
         )
         if settled:
@@ -374,22 +380,7 @@ def _check_steady(report, trace, x_samples, switches, factor) -> None:
         )
     else:
         report.checked.append("interval_error")
-        spec = x_samples.spec
-        for k in range(eta, n):
-            record = records[k]
-            worst_t, worst = None, 0.0
-            for t in cell_points(k, delta, factor):
-                err = abs(spec.at(t) - reconstruct(record, t, delta))
-                if err > worst:
-                    worst_t, worst = t, err
-            if worst > report.interval_error_bound:
-                report.violations.append(
-                    Violation(
-                        "interval_error",
-                        k,
-                        f"|x - y| = {worst} at t={worst_t} > {report.interval_error_bound}",
-                    )
-                )
+        _check_interval_error(report, records, x_samples.spec, delta, factor)
 
     report.checked.append("switch_gap")
     post = [k for k in switches if k >= eta]
@@ -412,4 +403,43 @@ def _check_steady(report, trace, x_samples, switches, factor) -> None:
         if run == 4:
             report.violations.append(
                 Violation("symbol_run", k, "four equal symbols in a row")
+            )
+
+
+def _check_interval_error(report, records, spec, delta, factor) -> None:
+    """Worst |x(t) - y(t)| over the oversampled points of every cell from
+    eta on, with y(t) the piecewise-linear reconstruction of
+    :func:`admtrack.codec.reconstruct` (elapsed time exactly ``delta`` at the
+    right endpoint), evaluated CHUNK_CELLS cells at a time."""
+    tail = records[report.eta:]
+    count = len(tail)
+    ks = np.arange(report.eta, report.eta + count, dtype=np.int64)
+    rec_k = np.fromiter((r.k for r in tail), dtype=np.int64, count=count)
+    rec_t = np.fromiter((r.t for r in tail), dtype=float, count=count)
+    y = np.fromiter((r.y for r in tail), dtype=float, count=count)
+    hm = np.fromiter((r.h * r.m for r in tail), dtype=float, count=count)
+    bound = report.interval_error_bound
+    for lo in range(0, count, CHUNK_CELLS):
+        rows = slice(lo, lo + CHUNK_CELLS)
+        t = cell_grid(ks[rows], delta, factor)
+        t0 = rec_t[rows, None]
+        t_next = ((rec_k[rows] + 1) * delta)[:, None]
+        outside = ~((t0 <= t) & (t <= t_next))
+        if outside.any():
+            i, j = np.unravel_index(np.argmax(outside), t.shape)
+            record = tail[lo + i]
+            raise DomainError(
+                f"t={float(t[i, j])} outside cell [{record.t}, {float(t_next[i, 0])}] of step {record.k}"
+            )
+        elapsed = np.where(t == t_next, delta, t - t0)
+        err = np.abs(spec.at_array(t) - (y[rows, None] + hm[rows, None] * elapsed))
+        # fmax/nanargmax skip NaN as the comparison err > worst would
+        for i in np.nonzero(np.fmax.reduce(err, axis=1) > bound)[0]:
+            j = int(np.nanargmax(err[i]))
+            report.violations.append(
+                Violation(
+                    "interval_error",
+                    int(ks[lo + i]),
+                    f"|x - y| = {float(err[i, j])} at t={float(t[i, j])} > {bound}",
+                )
             )

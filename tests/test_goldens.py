@@ -75,7 +75,7 @@ def test_goldens_cover_every_config(goldens):
 
 
 @pytest.mark.parametrize("name", CONFIG_NAMES)
-def test_cli_outputs_match_goldens(name, goldens, tmp_path, capsys):
+def test_cli_outputs_match_goldens(name, goldens, tmp_path):
     assert config_digests(name, tmp_path) == goldens[name]
 
 

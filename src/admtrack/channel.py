@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -30,11 +31,9 @@ from .codec import (
     PLUS,
     AdaptationRule,
     CodecParams,
-    StepRecord,
     Symbol,
     Trace,
-    decode_step,
-    init_state,
+    _run_stream,
 )
 from .errors import FormatError, ParameterError
 
@@ -111,16 +110,15 @@ def decode_with_erasures(
     """
     if policy != HOLD_SYMBOL:
         raise ParameterError(f"unknown erasure policy {policy!r}")
-    state = init_state(params)
-    records: list[StepRecord] = []
+    held: list[Symbol] = []
+    substituted: list[bool] = []
+    h = PLUS
     for symbol in received.symbols:
-        substituted = symbol is None
-        h = state.h if substituted else symbol
-        state, record = decode_step(state, h)
-        if substituted:
-            record = replace(record, substituted=True)
-        records.append(record)
-    return Trace(params=params, records=tuple(records))
+        if symbol is not None:
+            h = symbol
+        held.append(h)
+        substituted.append(symbol is None)
+    return _run_stream(params, repeat(None), held, substituted)
 
 
 def _params_to_header(params: CodecParams, count: int) -> dict:

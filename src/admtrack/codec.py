@@ -31,7 +31,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional
+from itertools import compress, repeat
+from typing import Iterable, Optional
+
+import numpy as np
 
 from .errors import NumericError, ParameterError, SequencingError, DomainError
 
@@ -65,6 +68,11 @@ class AdaptationRule(str, Enum):
     JAYANT = "jayant"
 
 
+# an enum member lookup costs a descriptor call; the per-step kernel
+# compares against this alias instead
+_JAYANT = AdaptationRule.JAYANT
+
+
 @dataclass(frozen=True)
 class CodecParams:
     """Shared contract between encoder and decoder.
@@ -86,7 +94,9 @@ class CodecParams:
     def __post_init__(self) -> None:
         for name in ("y0", "m0", "mbar", "a", "delta"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
+            if isinstance(value, bool) or not (
+                isinstance(value, (int, float)) and math.isfinite(value)
+            ):
                 raise ParameterError(f"{name} must be a finite number, got {value!r}")
             object.__setattr__(self, name, float(value))
         if not isinstance(self.rule, AdaptationRule):
@@ -114,11 +124,11 @@ class CodecState:
     """State after ``k`` completed steps; identical on both ends.
 
     ``y``/``m`` are the current estimate and slope, ``h`` the last emitted
-    symbol (+1 before step 0) and ``h_prev`` the one before that.
-    ``prev_in_switch`` says whether the last completed step was a switch.
-    ``m_power``/``m_floored`` are the exact bookkeeping behind ``m``: the
-    slope equals ``(mbar if m_floored else m0) * a**m_power`` (JAYANT tracks
-    ``m`` multiplicatively instead and leaves them at their running values).
+    symbol (+1 before step 0). ``prev_in_switch`` says whether the last
+    completed step was a switch. ``m_power``/``m_floored`` are the exact
+    bookkeeping behind ``m``: the slope equals
+    ``(mbar if m_floored else m0) * a**m_power`` (JAYANT tracks ``m``
+    multiplicatively instead and leaves them at their running values).
     """
 
     params: CodecParams
@@ -126,7 +136,6 @@ class CodecState:
     y: float
     m: float
     h: Symbol
-    h_prev: Symbol
     prev_in_switch: bool
     m_power: int = 0
     m_floored: bool = False
@@ -146,33 +155,86 @@ class StepRecord:
     substituted: bool = False
 
 
-@dataclass(frozen=True)
 class Trace:
-    params: CodecParams
-    records: tuple[StepRecord, ...]
+    """A codec run stored as columns, one list per field, one entry per step.
+
+    The columns are ``k, t, x, y, h, m, in_switch, substituted`` with the
+    meaning of the :class:`StepRecord` fields (``x`` holds None on decode).
+    ``records`` is the per-step view, built on first use and cached, so the
+    columns must not be mutated. ``Trace(params, records)`` builds the
+    columns from records; the codec builds traces with :meth:`from_columns`.
+    """
+
+    COLUMNS = ("k", "t", "x", "y", "h", "m", "in_switch", "substituted")
+
+    def __init__(self, params: CodecParams, records: Iterable[StepRecord] = ()) -> None:
+        records = tuple(records)
+        self.params = params
+        self.k = [r.k for r in records]
+        self.t = [r.t for r in records]
+        self.x = [r.x for r in records]
+        self.y = [r.y for r in records]
+        self.h = [r.h for r in records]
+        self.m = [r.m for r in records]
+        self.in_switch = [r.in_switch for r in records]
+        self.substituted = [r.substituted for r in records]
+        self._records: Optional[tuple[StepRecord, ...]] = records
+
+    @classmethod
+    def from_columns(cls, params: CodecParams, **columns: list) -> "Trace":
+        """A trace over the given columns (all of :attr:`COLUMNS`, equal lengths)."""
+        if set(columns) != set(cls.COLUMNS):
+            raise ParameterError(f"trace columns must be exactly {cls.COLUMNS}")
+        if len({len(column) for column in columns.values()}) > 1:
+            raise ParameterError("trace columns differ in length")
+        trace = cls.__new__(cls)
+        trace.params = params
+        for name in cls.COLUMNS:
+            setattr(trace, name, columns[name])
+        trace._records = None
+        return trace
+
+    def _columns(self) -> tuple[list, ...]:
+        return tuple(getattr(self, name) for name in self.COLUMNS)
+
+    @property
+    def records(self) -> tuple[StepRecord, ...]:
+        if self._records is None:
+            self._records = tuple(map(StepRecord, *self._columns()))
+        return self._records
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.k)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return self.params == other.params and self._columns() == other._columns()
+
+    __hash__ = None  # the columns are lists
+
+    def __repr__(self) -> str:
+        return f"Trace(params={self.params!r}, steps={len(self)})"
 
     def bits(self) -> list[Symbol]:
-        return [r.h for r in self.records]
+        return list(self.h)
 
     def switch_indices(self) -> list[int]:
-        return [r.k for r in self.records if r.in_switch]
+        return list(compress(self.k, self.in_switch))
 
     def estimate_at(self, t: float) -> float:
         """Piecewise-linear reconstruction at any time covered by the trace."""
-        if not self.records:
+        if not self.k:
             raise DomainError("empty trace")
         delta = self.params.delta
-        n = len(self.records)
+        n = len(self.k)
         k = min(max(int(t // delta), 0), n - 1)
         # float division can land one cell off the grid; nudge back
         while k > 0 and t < k * delta:
             k -= 1
         while k < n - 1 and t > (k + 1) * delta:
             k += 1
-        return reconstruct(self.records[k], t, delta)
+        return reconstruct(StepRecord(*(column[k] for column in self._columns())), t, delta)
 
 
 def init_state(params: CodecParams) -> CodecState:
@@ -183,7 +245,6 @@ def init_state(params: CodecParams) -> CodecState:
         y=params.y0,
         m=params.m0,
         h=PLUS,
-        h_prev=PLUS,
         prev_in_switch=False,
     )
 
@@ -237,6 +298,12 @@ def _check_symbol(h: Symbol) -> Symbol:
     raise NumericError(f"binary symbol must be +1 or -1, got {h!r}")
 
 
+def _check_sample(x_k) -> float:
+    if not isinstance(x_k, (int, float)) or not math.isfinite(x_k):
+        raise NumericError(f"sample must be finite, got {x_k!r}")
+    return float(x_k)
+
+
 def _check_state(state: CodecState) -> None:
     if (
         state.k < 0
@@ -258,95 +325,75 @@ def _slope_value(params: CodecParams, power: int, floored: bool) -> float:
     return base * params.a ** power
 
 
-def _next_slope(state: CodecState, in_switch: bool) -> tuple[int, bool]:
-    """Next (power, floored) pair; slope = (mbar if floored else m0) * a**power."""
-    params = state.params
-    power, floored = state.m_power, state.m_floored
-    if params.rule is AdaptationRule.JAYANT:
-        return (power - 1, False) if in_switch else (power + 1, False)
-    if in_switch:
-        if floored:
-            return max(power - 1, 0), True
-        if _slope_value(params, power - 1, False) > params.mbar:
-            return power - 1, False
-        return 0, True
-    if state.prev_in_switch:
-        return power, floored
-    return power + 1, floored
+def _step(params, k, y, m, h_prev, power, floored, prev_in_switch, x_k, h_k):
+    """The shared encoder/decoder recursion for step ``k``: the only copy.
 
-
-def _advance(
-    state: CodecState,
-    x_k: Optional[float],
-    h_k: Optional[Symbol],
-    substituted: bool = False,
-) -> tuple[CodecState, StepRecord]:
-    """Shared encoder/decoder recursion for one step.
-
-    Exactly one of ``x_k`` (encode: symbol from the comparison rule) and
-    ``h_k`` (decode: symbol from the channel) is given.
+    ``y``, ``m``, ``h_prev``, ``power``, ``floored`` and ``prev_in_switch``
+    describe the state after step k-1 (before step 0: y0, m0, +1, 0, False,
+    False). Exactly one of ``x_k`` (encode: symbol from the comparison rule)
+    and ``h_k`` (decode: symbol from the channel) is given. Returns
+    ``(y, m, h, in_switch, power, floored)`` of step k.
     """
-    _check_state(state)
-    params = state.params
-    k = state.k
     if k == 0:
-        y = state.y
-        m = state.m
-        power, floored = state.m_power, state.m_floored
-        h = symbol_for_sample(y, x_k, state.h) if h_k is None else _check_symbol(h_k)
-        in_switch = False  # switches are defined from step 1 on
-    else:
-        y = state.y + state.h * state.m * params.delta
-        if not math.isfinite(y):
-            raise NumericError(f"estimate overflowed at step {k}")
-        h = symbol_for_sample(y, x_k, state.h) if h_k is None else _check_symbol(h_k)
-        in_switch = state.h * h < 0
-        power, floored = _next_slope(state, in_switch)
-        if params.rule is AdaptationRule.JAYANT:
-            # No floor to re-anchor to, so track the slope multiplicatively;
-            # this keeps the m_k/m_{k-1} ratio exactly a or 1/a.
-            m = state.m / params.a if in_switch else params.a * state.m
-        elif (power, floored) == (state.m_power, state.m_floored):
-            m = state.m
+        # the initial estimate and slope are used as-is; step 0 never switches
+        h = symbol_for_sample(y, x_k, h_prev) if h_k is None else _check_symbol(h_k)
+        return y, m, h, False, power, floored
+    y = y + h_prev * m * params.delta
+    if not math.isfinite(y):
+        raise NumericError(f"estimate overflowed at step {k}")
+    h = symbol_for_sample(y, x_k, h_prev) if h_k is None else _check_symbol(h_k)
+    in_switch = h_prev * h < 0
+    if params.rule is _JAYANT:
+        # No floor to re-anchor to, so track the slope multiplicatively;
+        # this keeps the m_k/m_{k-1} ratio exactly a or 1/a.
+        if in_switch:
+            m = m / params.a
+            power -= 1
         else:
+            m = params.a * m
+            power += 1
+        floored = False
+    elif in_switch:
+        if not floored:
+            if _slope_value(params, power - 1, False) > params.mbar:
+                power -= 1
+            else:
+                power, floored = 0, True
             m = _slope_value(params, power, floored)
-        if not math.isfinite(m) or m <= 0.0:
-            raise NumericError(f"slope left (0, inf) at step {k}: {m!r}")
-    record = StepRecord(
-        k=k,
-        t=k * params.delta,
-        x=x_k,
-        y=y,
-        h=h,
-        m=m,
-        in_switch=in_switch,
-        substituted=substituted,
+        elif power > 0:
+            power -= 1
+            m = _slope_value(params, power, True)
+        # on the floor at power 0 the slope stays put
+    elif not prev_in_switch:
+        power += 1
+        m = _slope_value(params, power, floored)
+    # right after a switch the slope holds
+    if not math.isfinite(m) or m <= 0.0:
+        raise NumericError(f"slope left (0, inf) at step {k}: {m!r}")
+    return y, m, h, in_switch, power, floored
+
+
+def _state_step(state: CodecState, x_k: Optional[float], h_k: Optional[Symbol]):
+    """:func:`_step` on a :class:`CodecState`; returns (new state, record)."""
+    _check_state(state)
+    params, k = state.params, state.k
+    y, m, h, in_switch, power, floored = _step(
+        params, k, state.y, state.m, state.h, state.m_power, state.m_floored,
+        state.prev_in_switch, x_k, h_k,
     )
-    new_state = CodecState(
-        params=params,
-        k=k + 1,
-        y=y,
-        m=m,
-        h=h,
-        h_prev=state.h,
-        prev_in_switch=in_switch,
-        m_power=power,
-        m_floored=floored,
-    )
-    return new_state, record
+    record = StepRecord(k, k * params.delta, x_k, y, h, m, in_switch)
+    return CodecState(params, k + 1, y, m, h, in_switch, power, floored), record
 
 
 def encode_step(state: CodecState, x_k: float) -> tuple[CodecState, Symbol, StepRecord]:
     """Consume one sample, emit one symbol, advance the shared recursion."""
-    if not isinstance(x_k, (int, float)) or not math.isfinite(x_k):
-        raise NumericError(f"sample must be finite, got {x_k!r}")
-    new_state, record = _advance(state, float(x_k), None)
+    new_state, record = _state_step(state, _check_sample(x_k), None)
     return new_state, record.h, record
 
 
 def decode_step(state: CodecState, h_k: Symbol) -> tuple[CodecState, StepRecord]:
     """Consume one received symbol, advance the shared recursion."""
-    return _advance(state, None, h_k)
+    return _state_step(state, None, h_k)
 
 
 def reconstruct(record: StepRecord, t: float, delta: float) -> float:
@@ -363,6 +410,43 @@ def reconstruct(record: StepRecord, t: float, delta: float) -> float:
     return record.y + record.h * record.m * elapsed
 
 
+def _run_stream(params: CodecParams, xs: Iterable, hs: Iterable, substituted=None) -> Trace:
+    """Run :func:`_step` over a whole stream and collect the trace columns.
+
+    Encoding passes the (checked) samples as ``xs`` and None for every
+    ``hs``; decoding the reverse. The stream ends with the shorter of the
+    two. ``substituted`` is the column of the same name (default all False).
+    """
+    x_col: list = []
+    y_col: list = []
+    h_col: list = []
+    m_col: list = []
+    switch_col: list = []
+    y, m, h, in_switch, power, floored = params.y0, params.m0, PLUS, False, 0, False
+    for k, (x_k, h_k) in enumerate(zip(xs, hs)):
+        y, m, h, in_switch, power, floored = _step(
+            params, k, y, m, h, power, floored, in_switch, x_k, h_k
+        )
+        x_col.append(x_k)
+        y_col.append(y)
+        h_col.append(h)
+        m_col.append(m)
+        switch_col.append(in_switch)
+    n = len(y_col)
+    delta = params.delta
+    return Trace.from_columns(
+        params,
+        k=list(range(n)),
+        t=[k * delta for k in range(n)],
+        x=x_col,
+        y=y_col,
+        h=h_col,
+        m=m_col,
+        in_switch=switch_col,
+        substituted=[False] * n if substituted is None else substituted,
+    )
+
+
 def encode_signal(params: CodecParams, samples) -> tuple[list[Symbol], Trace]:
     """Encode grid samples into one symbol each; returns (bits, full trace).
 
@@ -373,24 +457,14 @@ def encode_signal(params: CodecParams, samples) -> tuple[list[Symbol], Trace]:
         raise ParameterError(
             f"sample grid delta {samples.delta!r} != codec delta {params.delta!r}"
         )
-    state = init_state(params)
-    bits: list[Symbol] = []
-    records: list[StepRecord] = []
-    for x in samples.values:
-        state, h, record = encode_step(state, x)
-        bits.append(h)
-        records.append(record)
-    return bits, Trace(params=params, records=tuple(records))
+    # map checks each sample lazily, just before the step that consumes it
+    trace = _run_stream(params, map(_check_sample, samples.values), repeat(None))
+    return trace.bits(), trace
 
 
 def decode_bitstream(params: CodecParams, bits) -> Trace:
     """Mirror of :func:`encode_signal`: same recursion driven by the bits."""
-    state = init_state(params)
-    records: list[StepRecord] = []
-    for h in bits:
-        state, record = decode_step(state, h)
-        records.append(record)
-    return Trace(params=params, records=tuple(records))
+    return _run_stream(params, repeat(None), bits)
 
 
 def check_trace(trace: Trace) -> list[tuple[int, str]]:
@@ -398,23 +472,62 @@ def check_trace(trace: Trace) -> list[tuple[int, str]]:
 
     Used to vet untrusted (possibly tampered) trace files: every y, m, t and
     switch flag must match the shared recursion exactly, and where samples
-    are present the symbol must match the comparison rule.
+    are present the symbol must match the comparison rule. The columns are
+    compared whole; only a trace that fails that comparison is walked row by
+    row to name its problems.
     """
+    want = decode_bitstream(trace.params, trace.h)
+    if (
+        trace.k == want.k
+        and trace.t == want.t
+        and trace.y == want.y
+        and trace.m == want.m
+        and trace.in_switch == want.in_switch
+        and _symbols_follow_rule(trace.x, want.y, want.h)
+    ):
+        return []
+    return _check_rows(trace, want)
+
+
+def _symbols_follow_rule(x_col: list, y_col: list, h_col: list) -> bool:
+    """Whether every present, finite sample yields its symbol under the
+    comparison rule; False also for a non-finite or non-numeric sample."""
+    n = len(x_col)
+    missing = x_col.count(None)
+    if missing == n:
+        return True
+    present = np.fromiter((x is not None for x in x_col), bool, n) if missing else slice(None)
+    try:
+        x = np.array([0.0 if v is None else v for v in x_col] if missing else x_col, dtype=float)
+    except (TypeError, ValueError):
+        return False
+    if not np.isfinite(x[present]).all():
+        return False
+    y = np.array(y_col)
+    h = np.array(h_col, dtype=np.int8)
+    h_prev = np.concatenate(([PLUS], h[:-1]))
+    rule = np.where(y < x, PLUS, np.where(y > x, MINUS, -h_prev))
+    return bool((rule == h)[present].all())
+
+
+def _check_rows(trace: Trace, want: Trace) -> list[tuple[int, str]]:
+    """The row-by-row comparison behind :func:`check_trace`; raises the
+    comparison rule's NumericError at the first non-finite sample."""
     problems: list[tuple[int, str]] = []
-    rederived = decode_bitstream(trace.params, trace.bits())
     h_prev = PLUS
-    for k, (got, want) in enumerate(zip(trace.records, rederived.records)):
-        if got.k != k:
-            problems.append((k, f"record index {got.k} != position {k}"))
-        if got.t != want.t:
-            problems.append((k, f"t={got.t!r} != k*delta={want.t!r}"))
-        if got.y != want.y:
-            problems.append((k, f"y={got.y!r} != recursion value {want.y!r}"))
-        if got.m != want.m:
-            problems.append((k, f"m={got.m!r} != recursion value {want.m!r}"))
-        if got.in_switch != want.in_switch:
-            problems.append((k, f"in_switch={got.in_switch} != {want.in_switch}"))
-        if got.x is not None and symbol_for_sample(want.y, got.x, h_prev) != got.h:
+    rows = zip(trace.k, trace.t, trace.x, trace.y, trace.h, trace.m, trace.in_switch)
+    for k, (got_k, t, x, y, h, m, in_switch) in enumerate(rows):
+        if got_k != k:
+            problems.append((k, f"record index {got_k} != position {k}"))
+        if t != want.t[k]:
+            problems.append((k, f"t={t!r} != k*delta={want.t[k]!r}"))
+        if y != want.y[k]:
+            problems.append((k, f"y={y!r} != recursion value {want.y[k]!r}"))
+        if m != want.m[k]:
+            problems.append((k, f"m={m!r} != recursion value {want.m[k]!r}"))
+        if in_switch != want.in_switch[k]:
+            problems.append((k, f"in_switch={in_switch} != {want.in_switch[k]}"))
+        if x is not None and symbol_for_sample(want.y[k], x, h_prev) != h:
             problems.append((k, "symbol disagrees with the comparison rule"))
-        h_prev = got.h
+        h_prev = h
     return problems

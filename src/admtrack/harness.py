@@ -33,7 +33,6 @@ from typing import Optional
 from .codec import (
     AdaptationRule,
     CodecParams,
-    StepRecord,
     Symbol,
     Trace,
     check_trace,
@@ -219,6 +218,8 @@ def channel_to_dict(model: ChannelModel) -> dict:
 
 
 def channel_from_dict(data: dict) -> ChannelModel:
+    if not isinstance(data, dict):
+        raise FormatError(f"channel must be a JSON object, got {data!r}")
     kind = data.get("kind", "noiseless")
     if kind == "noiseless":
         return Noiseless()
@@ -244,11 +245,11 @@ def codec_to_dict(params: CodecParams) -> dict:
 def codec_from_dict(data: dict) -> CodecParams:
     try:
         return CodecParams(
-            y0=float(data["y0"]),
-            m0=float(data["M0"]),
-            mbar=float(data["Mbar"]),
-            a=float(data["a"]),
-            delta=float(data["delta"]),
+            y0=_number(data["y0"], "y0"),
+            m0=_number(data["M0"], "M0"),
+            mbar=_number(data["Mbar"], "Mbar"),
+            a=_number(data["a"], "a"),
+            delta=_number(data["delta"], "delta"),
             rule=AdaptationRule(data.get("rule", "modified")),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -294,32 +295,57 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             raise FormatError(f"bad growth section {g!r}: {exc}") from exc
     comparison = None
     if "comparison" in data and data["comparison"] is not None:
-        c = data["comparison"]
+        c = _object(data["comparison"], "comparison")
+        try:
+            baseline = AdaptationRule(c.get("baseline", "jayant"))
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"comparison.baseline: {exc}") from exc
         comparison = ComparisonSettings(
-            baseline=AdaptationRule(c.get("baseline", "jayant")),
-            proximity_band_multiplier=float(c.get("proximity_band_multiplier", 1.0)),
+            baseline=baseline,
+            proximity_band_multiplier=_number(
+                c.get("proximity_band_multiplier", 1.0), "comparison.proximity_band_multiplier"
+            ),
         )
-    outputs = ExperimentOutputs(
-        trace_csv=data.get("outputs", {}).get("trace_csv", "trace.csv"),
-        report_json=data.get("outputs", {}).get("report_json", "report.json"),
-    )
+    outputs = _object(data.get("outputs", {}), "outputs")
+    names = {}
+    for key, default in (("trace_csv", "trace.csv"), ("report_json", "report.json")):
+        names[key] = outputs.get(key, default)
+        if not isinstance(names[key], str):
+            raise FormatError(f"outputs.{key} must be a file name, got {names[key]!r}")
     return ExperimentConfig(
         signal=signal_from_dict(data["signal"]),
         codec=codec_from_dict(data["codec"]),
-        horizon=float(data["horizon"]),
+        horizon=_number(data["horizon"], "horizon"),
         channel=channel_from_dict(data.get("channel", {"kind": "noiseless"})),
-        oversample_factor=int(data.get("oversample_factor", 32)),
+        oversample_factor=_number(data.get("oversample_factor", 32), "oversample_factor", int),
         growth=growth,
-        outputs=outputs,
+        outputs=ExperimentOutputs(**names),
         comparison=comparison,
     )
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise FormatError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+def _number(value, what: str, kind=float):
+    """A config number converted by ``kind``; bools and non-numbers are
+    FormatErrors."""
+    if isinstance(value, bool):
+        raise FormatError(f"{what} must be a number, got {value!r}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{what} must be a number, got {value!r}") from exc
 
 
 def load_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise FormatError(f"{path}: bad JSON: {exc}") from exc
     return config_from_dict(data)
 
@@ -429,7 +455,7 @@ def run_compare(config: ExperimentConfig) -> ComparisonReport:
         ("baseline", config.codec.with_rule(settings.baseline)),
     ):
         _, trace = encode_signal(params, samples)
-        errors = [abs(x - r.y) for x, r in zip(samples.values, trace.records)]
+        errors = [abs(x - y) for x, y in zip(samples.values, trace.y)]
         results[label] = recovery_steps(errors, start, band)
 
     return ComparisonReport(
@@ -460,23 +486,23 @@ def write_trace_csv(path, trace: Trace, x_values=None) -> None:
     """Write the fixed-schema trace CSV; ``x_values`` fills the x/err_abs
     columns for decode-side traces whose records carry no samples."""
     tmp = f"{path}.tmp"
+    rows = zip(trace.k, trace.t, trace.x, trace.y, trace.h, trace.m, trace.in_switch)
     with open(tmp, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
-        for record in trace.records:
-            x = record.x
+        for k, t, x, y, h, m, in_switch in rows:
             if x is None and x_values is not None:
-                x = x_values[record.k]
-            err = abs(x - record.y) if x is not None else None
+                x = x_values[k]
+            err = abs(x - y) if x is not None else None
             writer.writerow(
                 [
-                    record.k,
-                    _format_cell(record.t),
+                    k,
+                    _format_cell(t),
                     _format_cell(x),
-                    _format_cell(record.y),
-                    record.h,
-                    _format_cell(record.m),
-                    _format_cell(record.in_switch),
+                    _format_cell(y),
+                    h,
+                    _format_cell(m),
+                    _format_cell(in_switch),
                     _format_cell(err),
                 ]
             )
@@ -486,7 +512,13 @@ def write_trace_csv(path, trace: Trace, x_values=None) -> None:
 def read_trace_csv(path, params: CodecParams) -> Trace:
     """Read a trace CSV back; codec params come from the caller (the CSV
     carries none). Raises FormatError with the offending row number."""
-    records: list[StepRecord] = []
+    k_col: list[int] = []
+    t_col: list[float] = []
+    x_col: list[Optional[float]] = []
+    y_col: list[float] = []
+    h_col: list[Symbol] = []
+    m_col: list[float] = []
+    switch_col: list[bool] = []
     with open(path, "r", encoding="ascii", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -498,23 +530,29 @@ def read_trace_csv(path, params: CodecParams) -> Trace:
         for i, row in enumerate(reader, start=2):
             try:
                 k = int(row[0])
-                record = StepRecord(
-                    k=k,
-                    t=float(row[1]),
-                    x=float(row[2]) if row[2] else None,
-                    y=float(row[3]),
-                    h=int(row[4]),
-                    m=float(row[5]),
-                    in_switch=row[6] == "1",
-                )
+                t = float(row[1])
+                x = float(row[2]) if row[2] else None
+                y = float(row[3])
+                h = int(row[4])
+                m = float(row[5])
+                in_switch = row[6] == "1"
             except (IndexError, ValueError) as exc:
                 raise FormatError(f"{path}: row {i}: {exc}") from exc
-            if record.h not in (1, -1):
+            if h not in (1, -1):
                 raise FormatError(f"{path}: row {i}: h must be +1 or -1, got {row[4]}")
-            if k != len(records):
-                raise FormatError(f"{path}: row {i}: step index {k}, expected {len(records)}")
-            records.append(record)
-    return Trace(params=params, records=tuple(records))
+            if k != len(k_col):
+                raise FormatError(f"{path}: row {i}: step index {k}, expected {len(k_col)}")
+            k_col.append(k)
+            t_col.append(t)
+            x_col.append(x)
+            y_col.append(y)
+            h_col.append(h)
+            m_col.append(m)
+            switch_col.append(in_switch)
+    return Trace.from_columns(
+        params, k=k_col, t=t_col, x=x_col, y=y_col, h=h_col, m=m_col,
+        in_switch=switch_col, substituted=[False] * len(k_col),
+    )
 
 
 def write_json(path, document: dict) -> None:

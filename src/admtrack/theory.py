@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .codec import AdaptationRule, CodecParams, StepRecord, Trace
+from .codec import AdaptationRule, CodecParams, Trace
 from .errors import DivergenceError, DomainError, ParameterError
 from .signals import CHUNK_CELLS, GrowthBound, SampledSignal, VariationBound, cell_grid
 
@@ -174,16 +174,18 @@ def detect_settling(
         )
     _check_grids(trace, x_samples)
     bound = steady_error_bounds(params, rate)[0]
-    for k in range(start_index, len(trace)):
-        if _settled(trace.records[k], x_samples.values[k], params.mbar, bound):
+    return _first_settled(trace, x_samples.values, start_index, len(trace) - 1, bound)
+
+
+def _first_settled(trace: Trace, xs, first: int, last: int, sample_bound: float) -> Optional[int]:
+    """First k in [first, last] that meets the settling predicate (slope
+    exactly on the floor, sample error inside the steady band), or None."""
+    mbar = trace.params.mbar
+    ys, ms = trace.y, trace.m
+    for k in range(first, last + 1):
+        if ms[k] == mbar and abs(xs[k] - ys[k]) <= sample_bound:
             return k
     return None
-
-
-def _settled(record: StepRecord, x: float, mbar: float, sample_bound: float) -> bool:
-    """The settling predicate: slope exactly on the floor, sample error
-    inside the steady band."""
-    return record.m == mbar and abs(x - record.y) <= sample_bound
 
 
 def restart_index(delta: float, time: float) -> int:
@@ -234,7 +236,6 @@ def verify_theorem(
         raise ParameterError(f"start_index {start_index} outside trace of length {n}")
 
     rate = variation.rate
-    records = trace.records
     xs = x_samples.values
     sample_bound, interval_bound = steady_error_bounds(params, rate)
     report = TheoremReport(
@@ -250,7 +251,7 @@ def verify_theorem(
         n_steps=n,
     )
 
-    switches = [k for k in range(start_index + 1, n) if records[k].in_switch]
+    switches = [k for k in trace.switch_indices() if k > start_index]
     report.tau = switches[0] if switches else None
 
     _check_acquisition(report, trace, xs, growth, switches)
@@ -268,8 +269,7 @@ def _check_acquisition(report, trace, xs, growth, switches) -> None:
     if start == 0:
         start_params = params
     else:
-        record = trace.records[start]
-        start_params = replace(params, y0=record.y, m0=record.m)
+        start_params = replace(params, y0=trace.y[start], m0=trace.m[start])
     gap = abs(start_params.y0 - xs[start])
     report.tau_bound = start + acquisition_bound(start_params, gap, growth)
     if report.tau is not None:
@@ -294,8 +294,6 @@ def _check_acquisition(report, trace, xs, growth, switches) -> None:
 def _check_settling_and_steady(report, trace, x_samples, rate, switches, factor) -> None:
     params = trace.params
     n = report.n_steps
-    records = trace.records
-    xs = x_samples.values
 
     if params.rule is not AdaptationRule.MODIFIED:
         reason = "Jayant rule carries no floor guarantees"
@@ -316,14 +314,13 @@ def _check_settling_and_steady(report, trace, x_samples, rate, switches, factor)
     if report.tau is None:
         report.not_applicable.append(("settling", "no switch within the horizon"))
     else:
-        window = settling_window(records[report.tau].m, params)
+        window = settling_window(trace.m[report.tau], params)
         report.eta_window_end = report.tau + window
         last = min(report.eta_window_end, n - 1)
-        settled = any(
-            _settled(records[k], xs[k], params.mbar, report.sample_error_bound)
-            for k in range(report.tau, last + 1)
+        settled = _first_settled(
+            trace, x_samples.values, report.tau, last, report.sample_error_bound
         )
-        if settled:
+        if settled is not None:
             report.checked.append("settling")
         elif report.eta_window_end <= n - 1:
             report.checked.append("settling")
@@ -350,23 +347,22 @@ def _check_steady(report, trace, x_samples, switches, factor) -> None:
     delta = params.delta
     n = report.n_steps
     eta = report.eta
-    records = trace.records
     xs = x_samples.values
     floor = params.mbar
     lifted = params.a * params.mbar  # the only other steady slope value
 
     report.checked += ["step_size_set", "switch_floor", "sample_error"]
-    for k in range(eta, n):
-        record = records[k]
-        if record.m != floor and record.m != lifted:
+    rows = zip(trace.m[eta:], trace.in_switch[eta:], trace.y[eta:], xs[eta:])
+    for k, (m, in_switch, y, x) in enumerate(rows, start=eta):
+        if m != floor and m != lifted:
             report.violations.append(
-                Violation("step_size_set", k, f"slope {record.m!r} not in {{mbar, a*mbar}}")
+                Violation("step_size_set", k, f"slope {m!r} not in {{mbar, a*mbar}}")
             )
-        if record.in_switch and record.m != floor:
+        if in_switch and m != floor:
             report.violations.append(
-                Violation("switch_floor", k, f"switch slope {record.m!r} != mbar {floor!r}")
+                Violation("switch_floor", k, f"switch slope {m!r} != mbar {floor!r}")
             )
-        err = abs(xs[k] - record.y)
+        err = abs(x - y)
         if err > report.sample_error_bound:
             report.violations.append(
                 Violation(
@@ -380,7 +376,7 @@ def _check_steady(report, trace, x_samples, switches, factor) -> None:
         )
     else:
         report.checked.append("interval_error")
-        _check_interval_error(report, records, x_samples.spec, delta, factor)
+        _check_interval_error(report, trace, x_samples.spec, delta, factor)
 
     report.checked.append("switch_gap")
     post = [k for k in switches if k >= eta]
@@ -398,26 +394,27 @@ def _check_steady(report, trace, x_samples, switches, factor) -> None:
 
     report.checked.append("symbol_run")
     run = 1
+    hs = trace.h
     for k in range(eta + 2, n):
-        run = run + 1 if records[k].h == records[k - 1].h else 1
+        run = run + 1 if hs[k] == hs[k - 1] else 1
         if run == 4:
             report.violations.append(
                 Violation("symbol_run", k, "four equal symbols in a row")
             )
 
 
-def _check_interval_error(report, records, spec, delta, factor) -> None:
+def _check_interval_error(report, trace, spec, delta, factor) -> None:
     """Worst |x(t) - y(t)| over the oversampled points of every cell from
     eta on, with y(t) the piecewise-linear reconstruction of
     :func:`admtrack.codec.reconstruct` (elapsed time exactly ``delta`` at the
     right endpoint), evaluated CHUNK_CELLS cells at a time."""
-    tail = records[report.eta:]
-    count = len(tail)
-    ks = np.arange(report.eta, report.eta + count, dtype=np.int64)
-    rec_k = np.fromiter((r.k for r in tail), dtype=np.int64, count=count)
-    rec_t = np.fromiter((r.t for r in tail), dtype=float, count=count)
-    y = np.fromiter((r.y for r in tail), dtype=float, count=count)
-    hm = np.fromiter((r.h * r.m for r in tail), dtype=float, count=count)
+    eta = report.eta
+    count = len(trace) - eta
+    ks = np.arange(eta, eta + count, dtype=np.int64)
+    rec_k = np.array(trace.k[eta:], dtype=np.int64)
+    rec_t = np.array(trace.t[eta:], dtype=float)
+    y = np.array(trace.y[eta:], dtype=float)
+    hm = np.array(trace.h[eta:], dtype=float) * np.array(trace.m[eta:], dtype=float)
     bound = report.interval_error_bound
     for lo in range(0, count, CHUNK_CELLS):
         rows = slice(lo, lo + CHUNK_CELLS)
@@ -427,9 +424,9 @@ def _check_interval_error(report, records, spec, delta, factor) -> None:
         outside = ~((t0 <= t) & (t <= t_next))
         if outside.any():
             i, j = np.unravel_index(np.argmax(outside), t.shape)
-            record = tail[lo + i]
+            row = eta + lo + i
             raise DomainError(
-                f"t={float(t[i, j])} outside cell [{record.t}, {float(t_next[i, 0])}] of step {record.k}"
+                f"t={float(t[i, j])} outside cell [{trace.t[row]}, {float(t_next[i, 0])}] of step {trace.k[row]}"
             )
         elapsed = np.where(t == t_next, delta, t - t0)
         err = np.abs(spec.at_array(t) - (y[rows, None] + hm[rows, None] * elapsed))

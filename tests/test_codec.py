@@ -47,7 +47,7 @@ class TestInitState:
         params = CodecParams(y0=0.0, m0=1.0, mbar=1.0, a=2.0, delta=1.0)
         state = init_state(params)
         assert (state.k, state.y, state.m) == (0, 0.0, 1.0)
-        assert state.h == PLUS and state.h_prev == PLUS
+        assert state.h == PLUS
         assert not state.prev_in_switch
 
     def test_experiment_params(self):

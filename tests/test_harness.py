@@ -68,6 +68,50 @@ class TestConfig:
             jump_config(horizon=0.01)
 
 
+BAD_CONFIG_VALUES = [
+    ("horizon", "x"),
+    ("oversample_factor", "x"),
+    ("outputs", []),
+    ("comparison", {"baseline": "nope"}),
+    ("codec.delta", True),
+    ("channel", []),
+    ("outputs", {"trace_csv": 5}),
+]
+
+
+def _bad_config(key, value):
+    document = json.loads((CONFIGS / "compare_jump.json").read_text(encoding="utf-8"))
+    section, _, field = key.partition(".")
+    if field:
+        document[section][field] = value
+    else:
+        document[section] = value
+    return document
+
+
+@pytest.mark.parametrize("key,value", BAD_CONFIG_VALUES)
+def test_bad_config_value_is_a_format_error(key, value):
+    with pytest.raises(FormatError):
+        config_from_dict(_bad_config(key, value))
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify", "compare"])
+@pytest.mark.parametrize("key,value", BAD_CONFIG_VALUES)
+def test_bad_config_value_exits_2(key, value, command, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_bad_config(key, value)), encoding="utf-8")
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name", ["y0", "m0", "mbar", "a", "delta"])
+def test_codec_params_reject_bools(name):
+    values = dict(y0=0.0, m0=1.0, mbar=1.0, a=2.0, delta=1.0)
+    values[name] = True
+    with pytest.raises(ParameterError, match=name):
+        CodecParams(**values)
+
+
 class TestRunSimulation:
     def test_paper_bit_budget(self):
         result = run_simulation(jump_config())

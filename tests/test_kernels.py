@@ -10,18 +10,25 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import admtrack.codec as codec_module
 import admtrack.theory as theory
 from admtrack import (
+    MINUS,
+    PLUS,
+    AdaptationRule,
     CodecParams,
     Constant,
     DomainError,
+    Erasure,
     GrowthBound,
+    NumericError,
     Piecewise,
     Ramp,
     SampledSignal,
@@ -29,10 +36,17 @@ from admtrack import (
     StepRecord,
     Trace,
     VariationBound,
+    check_trace,
+    decode_bitstream,
+    decode_step,
+    decode_with_erasures,
     encode_signal,
+    encode_step,
     estimate_variation_bound,
+    init_state,
     reconstruct,
     sample,
+    transmit,
     verify_theorem,
 )
 from admtrack.signals import CHUNK_CELLS, cell_grid, cell_points
@@ -61,7 +75,8 @@ def oracle_variation_rate(spec, delta, window, factor):
     return worst / delta
 
 
-def oracle_interval_error(report, records, spec, delta, factor):
+def oracle_interval_error(report, trace, spec, delta, factor):
+    records = trace.records
     for k in range(report.eta, report.n_steps):
         record = records[k]
         worst_t, worst = None, 0.0
@@ -342,3 +357,409 @@ def test_tampered_record_time_raises_like_reconstruct(monkeypatch):
     with pytest.raises(DomainError) as kernel_error:
         verify_theorem(tampered, samples, variation)
     assert str(kernel_error.value) == str(oracle_error.value)
+
+
+# --- codec kernel -------------------------------------------------------------
+#
+# The oracles below are the per-step state machine the columnar kernel
+# replaced: a frozen state and a StepRecord per step, with the slope's
+# (power, floored) pair computed apart from the slope itself. The whole-trace
+# functions must give the same columns, the same problem lists and the same
+# exceptions (type and message).
+
+
+@dataclass(frozen=True)
+class OracleState:
+    params: CodecParams
+    k: int
+    y: float
+    m: float
+    h: int
+    prev_in_switch: bool
+    m_power: int = 0
+    m_floored: bool = False
+
+
+def oracle_check_symbol(h):
+    if h == PLUS:
+        return PLUS
+    if h == MINUS:
+        return MINUS
+    raise NumericError(f"binary symbol must be +1 or -1, got {h!r}")
+
+
+def oracle_symbol(y_k, x_k, h_prev):
+    if not (math.isfinite(y_k) and math.isfinite(x_k)):
+        raise NumericError(f"non-finite comparison: y={y_k!r}, x={x_k!r}")
+    if y_k < x_k:
+        return PLUS
+    if y_k > x_k:
+        return MINUS
+    return -oracle_check_symbol(h_prev)
+
+
+def oracle_slope_value(params, power, floored):
+    base = params.mbar if floored else params.m0
+    if power == 0:
+        return base
+    if power == 1:
+        return base * params.a
+    return base * params.a ** power
+
+
+def oracle_next_slope(state, in_switch):
+    params = state.params
+    power, floored = state.m_power, state.m_floored
+    if params.rule is AdaptationRule.JAYANT:
+        return (power - 1, False) if in_switch else (power + 1, False)
+    if in_switch:
+        if floored:
+            return max(power - 1, 0), True
+        if oracle_slope_value(params, power - 1, False) > params.mbar:
+            return power - 1, False
+        return 0, True
+    if state.prev_in_switch:
+        return power, floored
+    return power + 1, floored
+
+
+def oracle_advance(state, x_k, h_k, substituted=False):
+    params = state.params
+    k = state.k
+    if k == 0:
+        y, m = state.y, state.m
+        power, floored = state.m_power, state.m_floored
+        h = oracle_symbol(y, x_k, state.h) if h_k is None else oracle_check_symbol(h_k)
+        in_switch = False
+    else:
+        y = state.y + state.h * state.m * params.delta
+        if not math.isfinite(y):
+            raise NumericError(f"estimate overflowed at step {k}")
+        h = oracle_symbol(y, x_k, state.h) if h_k is None else oracle_check_symbol(h_k)
+        in_switch = state.h * h < 0
+        power, floored = oracle_next_slope(state, in_switch)
+        if params.rule is AdaptationRule.JAYANT:
+            m = state.m / params.a if in_switch else params.a * state.m
+        elif (power, floored) == (state.m_power, state.m_floored):
+            m = state.m
+        else:
+            m = oracle_slope_value(params, power, floored)
+        if not math.isfinite(m) or m <= 0.0:
+            raise NumericError(f"slope left (0, inf) at step {k}: {m!r}")
+    record = StepRecord(k, k * params.delta, x_k, y, h, m, in_switch, substituted)
+    return OracleState(params, k + 1, y, m, h, in_switch, power, floored), record
+
+
+def oracle_start(params):
+    return OracleState(params, 0, params.y0, params.m0, PLUS, False)
+
+
+def oracle_encode_signal(params, values):
+    state = oracle_start(params)
+    records = []
+    for x in values:
+        if not isinstance(x, (int, float)) or not math.isfinite(x):
+            raise NumericError(f"sample must be finite, got {x!r}")
+        state, record = oracle_advance(state, float(x), None)
+        records.append(record)
+    return records
+
+
+def oracle_decode_bitstream(params, bits):
+    state = oracle_start(params)
+    records = []
+    for h in bits:
+        state, record = oracle_advance(state, None, h)
+        records.append(record)
+    return records
+
+
+def oracle_decode_with_erasures(params, symbols):
+    state = oracle_start(params)
+    records = []
+    for symbol in symbols:
+        substituted = symbol is None
+        state, record = oracle_advance(state, None, state.h if substituted else symbol, substituted)
+        records.append(record)
+    return records
+
+
+def oracle_check_trace(params, records):
+    problems = []
+    rederived = oracle_decode_bitstream(params, [r.h for r in records])
+    h_prev = PLUS
+    for k, (got, want) in enumerate(zip(records, rederived)):
+        if got.k != k:
+            problems.append((k, f"record index {got.k} != position {k}"))
+        if got.t != want.t:
+            problems.append((k, f"t={got.t!r} != k*delta={want.t!r}"))
+        if got.y != want.y:
+            problems.append((k, f"y={got.y!r} != recursion value {want.y!r}"))
+        if got.m != want.m:
+            problems.append((k, f"m={got.m!r} != recursion value {want.m!r}"))
+        if got.in_switch != want.in_switch:
+            problems.append((k, f"in_switch={got.in_switch} != {want.in_switch}"))
+        if got.x is not None and oracle_symbol(want.y, got.x, h_prev) != got.h:
+            problems.append((k, "symbol disagrees with the comparison rule"))
+        h_prev = got.h
+    return problems
+
+
+def assert_same_columns(trace, records):
+    """Every column equal to the oracle's records, floats bit for bit."""
+    assert len(trace) == len(records)
+    for name in Trace.COLUMNS:
+        column = getattr(trace, name)
+        want = [getattr(r, name) for r in records]
+        if name in ("t", "y", "m"):
+            assert_bitwise_equal(column, want)
+        else:
+            assert column == want, name
+    assert trace.records == tuple(records)
+
+
+def same_outcome(run, oracle):
+    """Run both; they must return equal values or raise the same error."""
+    try:
+        want = oracle()
+    except Exception as exc:  # the oracle's error is the expected outcome
+        with pytest.raises(type(exc)) as got:
+            run()
+        assert str(got.value) == str(exc)
+        return None, None
+    return run(), want
+
+
+def random_codec(rng: random.Random):
+    rule = rng.choice([AdaptationRule.MODIFIED, AdaptationRule.JAYANT])
+    a = rng.choice([2.0, 1.5, rng.uniform(1.01, 2.0)])
+    delta = rng.choice([1.0, 0.04, 0.01, rng.uniform(1e-3, 1.0)])
+    mbar = rng.choice([1.0, rng.uniform(1e-3, 10.0)])
+    m0 = mbar * rng.choice([1.0, a ** rng.randrange(6), rng.uniform(0.5, 40.0)])
+    params = CodecParams(y0=rng.uniform(-20.0, 20.0), m0=m0, mbar=mbar, a=a, delta=delta)
+    return params.with_rule(rule)
+
+
+def random_values(rng: random.Random, n: int) -> list[float]:
+    kind = rng.randrange(4)
+    if kind == 0:  # integer levels: exact ties with the estimate happen
+        level = float(rng.randrange(-10, 10))
+        return [level] * n
+    if kind == 1:
+        walk, x = [], rng.uniform(-5.0, 5.0)
+        for _ in range(n):
+            x += rng.uniform(-0.5, 0.5)
+            walk.append(x)
+        return walk
+    if kind == 2:
+        amp, freq = rng.uniform(0.1, 10.0), rng.uniform(0.01, 2.0)
+        return [amp * math.sin(freq * k) for k in range(n)]
+    return [rng.choice([-3.0, 0.0, 3.0]) for _ in range(n)]  # jumps
+
+
+@pytest.mark.parametrize("seed", range(80))
+def test_encode_and_decode_match_oracle(seed):
+    rng = random.Random(5000 + seed)
+    params = random_codec(rng)
+    values = random_values(rng, rng.randrange(0, 400))
+    samples = SampledSignal(delta=params.delta, values=tuple(values))
+    encoded, want = same_outcome(
+        lambda: encode_signal(params, samples), lambda: oracle_encode_signal(params, values)
+    )
+    if want is None:
+        return
+    bits, trace = encoded
+    assert bits == [r.h for r in want]
+    assert_same_columns(trace, want)
+    assert_same_columns(decode_bitstream(params, bits), oracle_decode_bitstream(params, bits))
+    assert check_trace(trace) == oracle_check_trace(params, want) == []
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_erasure_decode_matches_oracle(seed):
+    rng = random.Random(6000 + seed)
+    params = random_codec(rng)
+    bits = [rng.choice([PLUS, MINUS]) for _ in range(rng.randrange(0, 300))]
+    received = transmit(bits, Erasure(p=rng.choice([0.0, 0.05, 0.3, 0.9]), seed=seed))
+    traced, want = same_outcome(
+        lambda: decode_with_erasures(params, received),
+        lambda: oracle_decode_with_erasures(params, received.symbols),
+    )
+    if want is not None:
+        assert_same_columns(traced, want)
+
+
+@pytest.mark.parametrize(
+    "params,bits",
+    [
+        # the slope doubles every step until y or m leaves the floats
+        (CodecParams(y0=0.0, m0=1.0, mbar=1.0, a=2.0, delta=1.0), [PLUS] * 1100),
+        (CodecParams(y0=0.0, m0=1.0, mbar=0.0, a=2.0, delta=1.0, rule="jayant"), [PLUS] * 1100),
+        (CodecParams(y0=0.0, m0=1e300, mbar=0.0, a=2.0, delta=1e8, rule="jayant"), [PLUS] * 10),
+        (CodecParams(y0=0.0, m0=1.0, mbar=1.0, a=2.0, delta=1.0), [PLUS, MINUS, 0, PLUS]),
+    ],
+)
+def test_decode_errors_match_oracle(params, bits):
+    with pytest.raises(NumericError) as want:
+        oracle_decode_bitstream(params, bits)
+    with pytest.raises(NumericError) as got:
+        decode_bitstream(params, bits)
+    assert str(got.value) == str(want.value)
+
+
+def test_encode_overflow_matches_oracle():
+    params = CodecParams(y0=0.0, m0=1.0, mbar=0.0, a=2.0, delta=1.0, rule="jayant")
+    samples = SampledSignal(delta=1.0, values=(1e308,) * 1100)
+    with pytest.raises(NumericError) as want:
+        oracle_encode_signal(params, samples.values)
+    with pytest.raises(NumericError) as got:
+        encode_signal(params, samples)
+    assert str(got.value) == str(want.value)
+
+
+class DuckSamples:
+    """Anything with ``delta`` and ``values`` encodes; values are checked
+    one at a time, just before the step that consumes them."""
+
+    def __init__(self, delta, values):
+        self.delta = delta
+        self.values = values
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [1.0, 2.0, math.nan, 3.0],
+        [1.0, math.inf],
+        [1, 2, "3"],
+        [1e308] * 1050 + [math.nan],  # the overflow comes first
+    ],
+)
+def test_bad_samples_raise_like_oracle(values):
+    params = CodecParams(y0=0.0, m0=1.0, mbar=0.0, a=2.0, delta=1.0, rule="jayant")
+    with pytest.raises(NumericError) as want:
+        oracle_encode_signal(params, values)
+    with pytest.raises(NumericError) as got:
+        encode_signal(params, DuckSamples(1.0, values))
+    assert str(got.value) == str(want.value)
+
+
+TAMPERS = {
+    "k": lambda r, rng: rng.choice([r.k + 1, r.k - 1, 0]),
+    "t": lambda r, rng: math.nextafter(r.t, math.inf),
+    "x": lambda r, rng: rng.choice([None, r.y, r.y + 1.0, r.y - 1.0, -1e9]),
+    "y": lambda r, rng: math.nextafter(r.y, -math.inf),
+    "m": lambda r, rng: r.m * 2.0,
+    "in_switch": lambda r, rng: not r.in_switch,
+}
+
+
+@pytest.mark.parametrize("field", sorted(TAMPERS))
+@pytest.mark.parametrize("seed", range(8))
+def test_check_trace_matches_oracle_on_tampered_traces(field, seed):
+    rng = random.Random(7000 + seed)
+    params = random_codec(rng)
+    values = random_values(rng, rng.randrange(20, 200))
+    _, trace = encode_signal(params, SampledSignal(delta=params.delta, values=tuple(values)))
+    records = list(rng.choice([trace, decode_bitstream(params, trace.bits())]).records)
+    for k in rng.sample(range(len(records)), rng.randrange(1, 4)):
+        records[k] = replace(records[k], **{field: TAMPERS[field](records[k], rng)})
+    tampered = Trace(params=params, records=records)
+    assert check_trace(tampered) == oracle_check_trace(params, records)
+
+
+@pytest.mark.parametrize("earlier_problem", [False, True])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "x"])
+def test_check_trace_non_finite_sample_raises_like_oracle(bad, earlier_problem):
+    params = CodecParams(y0=0.0, m0=1.0, mbar=1.0, a=2.0, delta=1.0)
+    _, trace = encode_signal(params, SampledSignal(delta=1.0, values=(10.0,) * 10))
+    records = list(trace.records)
+    if earlier_problem:
+        records[3] = replace(records[3], y=99.0)
+    records[6] = replace(records[6], x=bad)
+    outcome = []
+    for check in (lambda: oracle_check_trace(params, records),
+                  lambda: check_trace(Trace(params=params, records=records))):
+        with pytest.raises(Exception) as error:
+            check()
+        outcome.append((type(error.value), str(error.value)))
+    assert outcome[0] == outcome[1]
+
+
+def test_check_trace_reports_every_problem_in_row_order(hand_params, hand_samples):
+    _, trace = encode_signal(hand_params, hand_samples)
+    records = list(trace.records)
+    records[2] = replace(records[2], x=-50.0, y=3.5, m=4.5)
+    records[7] = replace(records[7], k=70, t=7.5, in_switch=True)
+    problems = check_trace(Trace(params=hand_params, records=records))
+    assert problems == oracle_check_trace(hand_params, records)
+    assert [k for k, _ in problems] == [2, 2, 2, 7, 7, 7]
+
+
+def test_check_trace_rejects_a_bad_symbol_like_oracle(hand_params, hand_samples):
+    _, trace = encode_signal(hand_params, hand_samples)
+    records = list(trace.records)
+    records[4] = replace(records[4], h=0)
+    with pytest.raises(NumericError) as want:
+        oracle_check_trace(hand_params, records)
+    with pytest.raises(NumericError) as got:
+        check_trace(Trace(params=hand_params, records=records))
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_per_step_api_in_lockstep_matches_whole_signal(seed):
+    rng = random.Random(8000 + seed)
+    params = random_codec(rng)
+    values = random_values(rng, rng.randrange(0, 300))
+    samples = SampledSignal(delta=params.delta, values=tuple(values))
+    try:
+        bits, whole = encode_signal(params, samples)
+    except NumericError:
+        return  # covered by the oracle tests above
+    enc_state, dec_state = init_state(params), init_state(params)
+    enc_records, dec_records = [], []
+    for x in samples.values:
+        enc_state, h, enc_record = encode_step(enc_state, x)
+        dec_state, dec_record = decode_step(dec_state, h)
+        enc_records.append(enc_record)
+        dec_records.append(dec_record)
+    assert Trace(params=params, records=enc_records) == whole
+    assert Trace(params=params, records=dec_records) == decode_bitstream(params, bits)
+    assert [r.h for r in enc_records] == bits
+
+
+def test_trace_from_records_keeps_the_records_view(hand_params, hand_samples):
+    _, trace = encode_signal(hand_params, hand_samples)
+    rebuilt = Trace(params=hand_params, records=trace.records[:5])
+    assert rebuilt.records == trace.records[:5]
+    assert rebuilt.y == trace.y[:5] and rebuilt.k == [0, 1, 2, 3, 4]
+    assert rebuilt.records is rebuilt.records
+    assert Trace(hand_params, trace.records) == trace
+
+
+def test_consistent_traces_skip_the_row_loop(monkeypatch, hand_params, hand_samples):
+    """The row loop runs only to name problems; a consistent trace, exact
+    ties (hand trace step 9) and partly missing samples included, passes
+    the column comparison alone."""
+
+    def row_loop(trace, want):
+        raise AssertionError("row loop ran on a consistent trace")
+
+    monkeypatch.setattr(codec_module, "_check_rows", row_loop)
+    _, trace = encode_signal(hand_params, hand_samples)
+    assert trace.y[9] == trace.x[9]
+    partly = list(trace.records)
+    partly[2] = replace(partly[2], x=None)
+    for candidate in (trace, decode_bitstream(hand_params, trace.bits()),
+                      Trace(hand_params, partly)):
+        assert check_trace(candidate) == []
+    for seed in range(20):
+        rng = random.Random(9000 + seed)
+        params = random_codec(rng)
+        values = random_values(rng, rng.randrange(0, 200))
+        try:
+            _, trace = encode_signal(params, SampledSignal(delta=params.delta, values=tuple(values)))
+        except NumericError:
+            continue
+        assert check_trace(trace) == []

@@ -211,8 +211,6 @@ class Trace:
             return NotImplemented
         return self.params == other.params and self._columns() == other._columns()
 
-    __hash__ = None  # the columns are lists
-
     def __repr__(self) -> str:
         return f"Trace(params={self.params!r}, steps={len(self)})"
 

@@ -218,9 +218,7 @@ def channel_to_dict(model: ChannelModel) -> dict:
 
 
 def channel_from_dict(data: dict) -> ChannelModel:
-    if not isinstance(data, dict):
-        raise FormatError(f"channel must be a JSON object, got {data!r}")
-    kind = data.get("kind", "noiseless")
+    kind = _object(data, "channel").get("kind", "noiseless")
     if kind == "noiseless":
         return Noiseless()
     if kind == "erasure":

@@ -1,9 +1,10 @@
-"""The numpy cell-grid kernels against scalar oracles.
+"""The numpy cell-grid kernels and the columnar codec kernel against oracles.
 
-The oracles below are the per-point loops the kernels replaced: ``at`` one
-time at a time, the literal cell-point list, the scalar variation scan and
-the per-cell interval-error loop over :func:`admtrack.reconstruct`. Every
-kernel must agree with them bit for bit.
+The first oracles are the per-point loops the cell-grid kernels replaced:
+``at`` one time at a time, the literal cell-point list, the scalar variation
+scan and the per-cell interval-error loop over :func:`admtrack.reconstruct`.
+The codec oracles further down are the per-step state machine the columnar
+kernel replaced. Every kernel must agree with its oracle bit for bit.
 """
 
 from __future__ import annotations

@@ -320,7 +320,10 @@ def _slope_value(params: CodecParams, power: int, floored: bool) -> float:
         return base
     if power == 1:
         return base * params.a
-    return base * params.a ** power
+    try:
+        return base * params.a ** power
+    except OverflowError:
+        raise NumericError(f"slope power a**{power} overflowed") from None
 
 
 def _step(params, k, y, m, h_prev, power, floored, prev_in_switch, x_k, h_k):
@@ -328,18 +331,19 @@ def _step(params, k, y, m, h_prev, power, floored, prev_in_switch, x_k, h_k):
 
     ``y``, ``m``, ``h_prev``, ``power``, ``floored`` and ``prev_in_switch``
     describe the state after step k-1 (before step 0: y0, m0, +1, 0, False,
-    False). Exactly one of ``x_k`` (encode: symbol from the comparison rule)
-    and ``h_k`` (decode: symbol from the channel) is given. Returns
+    False). Encoding gives the sample ``x_k`` (symbol from the comparison
+    rule); decoding passes None for it and takes the symbol ``h_k`` from the
+    channel, which must be +1 or -1. Returns
     ``(y, m, h, in_switch, power, floored)`` of step k.
     """
     if k == 0:
         # the initial estimate and slope are used as-is; step 0 never switches
-        h = symbol_for_sample(y, x_k, h_prev) if h_k is None else _check_symbol(h_k)
+        h = _check_symbol(h_k) if x_k is None else symbol_for_sample(y, x_k, h_prev)
         return y, m, h, False, power, floored
     y = y + h_prev * m * params.delta
     if not math.isfinite(y):
         raise NumericError(f"estimate overflowed at step {k}")
-    h = symbol_for_sample(y, x_k, h_prev) if h_k is None else _check_symbol(h_k)
+    h = _check_symbol(h_k) if x_k is None else symbol_for_sample(y, x_k, h_prev)
     in_switch = h_prev * h < 0
     if params.rule is _JAYANT:
         # No floor to re-anchor to, so track the slope multiplicatively;

@@ -28,6 +28,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 from typing import Optional
 
 from .codec import (
@@ -470,87 +471,152 @@ def run_compare(config: ExperimentConfig) -> ComparisonReport:
 # --- file I/O ---------------------------------------------------------------
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+# Trace CSVs are read and written CHUNK_ROWS rows at a time, so the text,
+# cell and formatting temporaries stay bounded on long traces.
+CHUNK_ROWS = 1024
+
+_HEADER_LINE = ",".join(TRACE_COLUMNS) + "\r\n"
 
 
 def write_trace_csv(path, trace: Trace, x_values=None) -> None:
     """Write the fixed-schema trace CSV; ``x_values`` fills the x/err_abs
-    columns for decode-side traces whose records carry no samples."""
+    columns for decode-side traces whose records carry no samples.
+
+    Rows end in CRLF; floats are written as ``repr``, ``in_switch`` as
+    1/0 and an absent x (with its err_abs) as an empty cell. The columns are
+    formatted whole, CHUNK_ROWS rows per write.
+    """
     tmp = f"{path}.tmp"
-    rows = zip(trace.k, trace.t, trace.x, trace.y, trace.h, trace.m, trace.in_switch)
     with open(tmp, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for k, t, x, y, h, m, in_switch in rows:
-            if x is None and x_values is not None:
-                x = x_values[k]
-            err = abs(x - y) if x is not None else None
-            writer.writerow(
-                [
-                    k,
-                    _format_cell(t),
-                    _format_cell(x),
-                    _format_cell(y),
-                    h,
-                    _format_cell(m),
-                    _format_cell(in_switch),
-                    _format_cell(err),
-                ]
+        fh.write(_HEADER_LINE)
+        for lo in range(0, len(trace), CHUNK_ROWS):
+            rows = slice(lo, lo + CHUNK_ROWS)
+            ks, xs, ys = trace.k[rows], trace.x[rows], trace.y[rows]
+            if x_values is not None:
+                xs = [x_values[k] if x is None else x for k, x in zip(ks, xs)]
+            cells = zip(
+                map(str, ks),
+                map(repr, trace.t[rows]),
+                ["" if x is None else repr(x) for x in xs],
+                map(repr, ys),
+                map(str, trace.h[rows]),
+                map(repr, trace.m[rows]),
+                ["1" if s else "0" for s in trace.in_switch[rows]],
+                ["" if x is None else repr(abs(x - y)) for x, y in zip(xs, ys)],
             )
+            fh.write("\r\n".join(map(",".join, cells)))
+            fh.write("\r\n")
     os.replace(tmp, path)
 
 
 def read_trace_csv(path, params: CodecParams) -> Trace:
     """Read a trace CSV back; codec params come from the caller (the CSV
-    carries none). Raises FormatError with the offending row number."""
-    k_col: list[int] = []
-    t_col: list[float] = []
-    x_col: list[Optional[float]] = []
-    y_col: list[float] = []
-    h_col: list[Symbol] = []
-    m_col: list[float] = []
-    switch_col: list[bool] = []
+    carries none). Raises FormatError naming the file, and the offending row
+    where there is one.
+
+    Files in the form :func:`write_trace_csv` writes are parsed column-wise;
+    any other file (LF line ends, quoted cells, short or long rows, ...) is
+    read by the row loop, which alone names the row of an error.
+    """
+    columns = _read_canonical_csv(path)
+    if columns is None:
+        columns = _read_csv_rows(path)
+    k, t, x, y, h, m, in_switch = columns
+    return Trace.from_columns(
+        params, k=k, t=t, x=x, y=y, h=h, m=m,
+        in_switch=in_switch, substituted=[False] * len(k),
+    )
+
+
+def _read_canonical_csv(path) -> Optional[tuple[list, ...]]:
+    """The columns of a file in the writer's form, or None for any other file:
+    ASCII with the fixed header, every line ending in CRLF and holding
+    exactly 8 cells, no quote or NUL, ``k`` running 0..n-1 and ``h`` +-1.
+    Cells are converted as the row loop converts them. (A NUL is left to the
+    row loop because ``csv`` rejects it before Python 3.11.)"""
+    columns: tuple[list, ...] = ([], [], [], [], [], [], [])
+    k_col, t_col, x_col, y_col, h_col, m_col, switch_col = columns
+    with open(path, "rb") as fh:
+        if fh.readline() != _HEADER_LINE.encode("ascii"):
+            return None
+        while True:
+            chunk = b"".join(islice(fh, CHUNK_ROWS))
+            if not chunk:
+                # exact-size copies: a trace keeps no list growth slack
+                return tuple(column[:] for column in columns)
+            try:
+                text = chunk.decode("ascii")
+                lines = text.split("\r\n")
+                tail = lines.pop()  # "" when the chunk ends in CRLF
+                n = len(lines)
+                if (
+                    tail
+                    or text.count("\n") != n
+                    or text.count("\r") != n
+                    or '"' in text
+                    or "\0" in text
+                    or list(map(str.count, lines, repeat(","))).count(7) != n
+                ):
+                    return None
+                cells = ",".join(lines).split(",")
+                base = len(k_col)
+                ks = list(map(int, cells[0::8]))
+                hs = list(map(int, cells[4::8]))
+                if ks != list(range(base, base + n)) or hs.count(1) + hs.count(-1) != n:
+                    return None
+                xs = cells[2::8]
+                xs = [float(x) if x else None for x in xs] if "" in xs else list(map(float, xs))
+                t_col += map(float, cells[1::8])
+                y_col += map(float, cells[3::8])
+                m_col += map(float, cells[5::8])
+            except ValueError:  # a cell the row loop rejects, or a non-ASCII byte
+                return None
+            k_col += ks
+            x_col += xs
+            h_col += hs
+            switch_col += map("1".__eq__, cells[6::8])
+
+
+def _read_csv_rows(path) -> tuple[list, ...]:
+    """The row loop behind :func:`read_trace_csv`: ``csv.reader`` over the
+    file, one converted and checked row at a time."""
+    columns: tuple[list, ...] = ([], [], [], [], [], [], [])
+    k_col, t_col, x_col, y_col, h_col, m_col, switch_col = columns
     with open(path, "r", encoding="ascii", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file, expected header {TRACE_COLUMNS}")
-        if header != TRACE_COLUMNS:
-            raise FormatError(f"{path}: row 1: header {header} != {TRACE_COLUMNS}")
-        for i, row in enumerate(reader, start=2):
-            try:
-                k = int(row[0])
-                t = float(row[1])
-                x = float(row[2]) if row[2] else None
-                y = float(row[3])
-                h = int(row[4])
-                m = float(row[5])
-                in_switch = row[6] == "1"
-            except (IndexError, ValueError) as exc:
-                raise FormatError(f"{path}: row {i}: {exc}") from exc
-            if h not in (1, -1):
-                raise FormatError(f"{path}: row {i}: h must be +1 or -1, got {row[4]}")
-            if k != len(k_col):
-                raise FormatError(f"{path}: row {i}: step index {k}, expected {len(k_col)}")
-            k_col.append(k)
-            t_col.append(t)
-            x_col.append(x)
-            y_col.append(y)
-            h_col.append(h)
-            m_col.append(m)
-            switch_col.append(in_switch)
-    return Trace.from_columns(
-        params, k=k_col, t=t_col, x=x_col, y=y_col, h=h_col, m=m_col,
-        in_switch=switch_col, substituted=[False] * len(k_col),
-    )
+            header = next(reader, None)
+            if header is None:
+                raise FormatError(f"{path}: empty file, expected header {TRACE_COLUMNS}")
+            if header != TRACE_COLUMNS:
+                raise FormatError(f"{path}: row 1: header {header} != {TRACE_COLUMNS}")
+            for i, row in enumerate(reader, start=2):
+                try:
+                    k = int(row[0])
+                    t = float(row[1])
+                    x = float(row[2]) if row[2] else None
+                    y = float(row[3])
+                    h = int(row[4])
+                    m = float(row[5])
+                    in_switch = row[6] == "1"
+                except (IndexError, ValueError) as exc:
+                    raise FormatError(f"{path}: row {i}: {exc}") from exc
+                if h not in (1, -1):
+                    raise FormatError(f"{path}: row {i}: h must be +1 or -1, got {row[4]}")
+                if k != len(k_col):
+                    raise FormatError(f"{path}: row {i}: step index {k}, expected {len(k_col)}")
+                k_col.append(k)
+                t_col.append(t)
+                x_col.append(x)
+                y_col.append(y)
+                h_col.append(h)
+                m_col.append(m)
+                switch_col.append(in_switch)
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not an ASCII trace CSV: {exc}") from exc
+        except csv.Error as exc:
+            raise FormatError(f"{path}: row {reader.line_num}: {exc}") from exc
+    return columns
 
 
 def write_json(path, document: dict) -> None:

@@ -343,6 +343,9 @@ def _check_settling_and_steady(report, trace, x_samples, rate, switches, factor)
 
 
 def _check_steady(report, trace, x_samples, switches, factor) -> None:
+    """The steady-state claims from eta on. Each claim's columns are scanned
+    with numpy first; its per-step loop runs only when the scan finds a
+    violation, and alone builds the violation list (in step order)."""
     params = trace.params
     delta = params.delta
     n = report.n_steps
@@ -352,6 +355,43 @@ def _check_steady(report, trace, x_samples, switches, factor) -> None:
     lifted = params.a * params.mbar  # the only other steady slope value
 
     report.checked += ["step_size_set", "switch_floor", "sample_error"]
+    m = np.array(trace.m[eta:], dtype=float)
+    off_floor = m != floor
+    if (
+        (off_floor & (m != lifted)).any()
+        or (off_floor & np.array(trace.in_switch[eta:], dtype=bool)).any()
+        or (
+            np.abs(np.array(xs[eta:], dtype=float) - np.array(trace.y[eta:], dtype=float))
+            > report.sample_error_bound
+        ).any()
+    ):
+        _steady_slope_and_error_rows(report, trace, xs, floor, lifted)
+
+    if x_samples.spec is None:
+        report.not_applicable.append(
+            ("interval_error", "samples carry no signal spec to evaluate between grid points")
+        )
+    else:
+        report.checked.append("interval_error")
+        _check_interval_error(report, trace, x_samples.spec, delta, factor)
+
+    report.checked.append("switch_gap")
+    post = np.array(switches, dtype=np.int64)
+    post = post[post >= eta]
+    if post.size and ((np.diff(post) > 3).any() or post[-1] + 3 <= n - 1):
+        _switch_gap_rows(report, post.tolist(), n)
+
+    report.checked.append("symbol_run")
+    # the run count starts at eta + 1: four equal symbols there are three
+    # equal neighbouring pairs in a row
+    hs = np.array(trace.h[eta + 1:])
+    same = hs[1:] == hs[:-1]
+    if (same[:-2] & same[1:-1] & same[2:]).any():
+        _symbol_run_rows(report, trace.h, eta, n)
+
+
+def _steady_slope_and_error_rows(report, trace, xs, floor, lifted) -> None:
+    eta = report.eta
     rows = zip(trace.m[eta:], trace.in_switch[eta:], trace.y[eta:], xs[eta:])
     for k, (m, in_switch, y, x) in enumerate(rows, start=eta):
         if m != floor and m != lifted:
@@ -370,16 +410,8 @@ def _check_steady(report, trace, x_samples, switches, factor) -> None:
                 )
             )
 
-    if x_samples.spec is None:
-        report.not_applicable.append(
-            ("interval_error", "samples carry no signal spec to evaluate between grid points")
-        )
-    else:
-        report.checked.append("interval_error")
-        _check_interval_error(report, trace, x_samples.spec, delta, factor)
 
-    report.checked.append("switch_gap")
-    post = [k for k in switches if k >= eta]
+def _switch_gap_rows(report, post, n) -> None:
     for i, s in enumerate(post):
         nxt = post[i + 1] if i + 1 < len(post) else None
         if nxt is not None:
@@ -392,9 +424,9 @@ def _check_steady(report, trace, x_samples, switches, factor) -> None:
                 Violation("switch_gap", s, f"no further switch in ({s}, {s + 3}]")
             )
 
-    report.checked.append("symbol_run")
+
+def _symbol_run_rows(report, hs, eta, n) -> None:
     run = 1
-    hs = trace.h
     for k in range(eta + 2, n):
         run = run + 1 if hs[k] == hs[k - 1] else 1
         if run == 4:

@@ -237,6 +237,26 @@ def test_decode_rejects_bad_symbol(hand_params):
         decode_bitstream(hand_params, [PLUS, 0])
 
 
+@pytest.mark.parametrize("bad", [None, 0, 2])
+def test_decode_rejects_a_missing_symbol_like_any_bad_one(hand_params, bad):
+    # None is not "no symbol": it fails at its own step like 0 or 2 would
+    with pytest.raises(NumericError, match=f"got {bad!r}$"):
+        decode_bitstream(hand_params, [PLUS, PLUS, bad, PLUS])
+    state = init_state(hand_params)
+    state, _ = decode_step(state, PLUS)
+    with pytest.raises(NumericError, match=f"got {bad!r}$"):
+        decode_step(state, bad)
+
+
+def test_decode_slope_power_overflow_is_numeric_error():
+    # M0 * a**1024 is a finite slope, but a**1024 itself overflows a float
+    params = CodecParams(y0=0, m0=1e-300, mbar=1e-300, a=2, delta=1)
+    with pytest.raises(NumericError, match=r"a\*\*1024 overflowed"):
+        decode_bitstream(params, [PLUS] * 1100)
+    with pytest.raises(NumericError, match=r"a\*\*1024 overflowed"):
+        encode_signal(params, SampledSignal(delta=1.0, values=(1e300,) * 1100))
+
+
 def test_steady_slope_values_are_exact_across_parameter_draws():
     # the reason the slope is tracked as base*a**power: a plain grow/shrink
     # float recursion lands one ulp off the floor in ~5% of parameter draws,

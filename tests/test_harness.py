@@ -1,5 +1,6 @@
 """Experiment orchestration, file I/O, and the command-line interface."""
 
+import csv
 import json
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from admtrack import (
     recovery_steps,
     run_compare,
     run_simulation,
+    write_bitstream,
     write_trace_csv,
 )
 from admtrack.cli import main
@@ -217,6 +219,34 @@ class TestTraceCsv:
         with pytest.raises(FormatError, match="header"):
             read_trace_csv(path, PAPER_CODEC)
 
+    def test_non_ascii_byte_is_a_format_error(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"k,t,x,y,h,M,in_switch,err_abs\r\n0,0.0,,0.0,1,1.0,0,\xc3\xa9\r\n")
+        with pytest.raises(FormatError, match="not an ASCII trace CSV") as error:
+            read_trace_csv(path, PAPER_CODEC)
+        assert str(path) in str(error.value)
+
+    def test_csv_error_is_a_format_error(self, tmp_path):
+        # a cell beyond csv.field_size_limit() is a csv.Error on every version
+        path = tmp_path / "bad.csv"
+        big = "1" * (csv.field_size_limit() + 1)
+        path.write_text(f"k,t,x,y,h,M,in_switch,err_abs\n0,0.0,,0.0,1,1.0,0,{big}\n")
+        with pytest.raises(FormatError, match="row 2") as error:
+            read_trace_csv(path, PAPER_CODEC)
+        assert str(path) in str(error.value)
+
+    def test_lenient_forms_still_read(self, tmp_path):
+        result = run_simulation(jump_config())
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, result.decoder_trace, x_values=result.samples.values)
+        want = read_trace_csv(path, PAPER_CODEC)
+        rows = path.read_text().splitlines()
+        rows[3] = ",".join(f'"{cell}"' for cell in rows[3].split(","))  # quoted cells
+        rows[4] = ",".join(rows[4].split(",")[:7])  # no err_abs cell
+        rows[5] += ",extra"
+        path.write_text("\n".join(rows))  # LF line ends, no final newline
+        assert read_trace_csv(path, PAPER_CODEC) == want
+
 
 def _run_in(tmp_path, config_name, *args):
     config = CONFIGS / config_name
@@ -296,6 +326,23 @@ class TestCliVerify:
                      "--trace", str(tmp_path / "sine_trace.csv"), "--out", str(tmp_path)])
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "0,0.0,,0.0,1,1.0,0,\u00e9",  # not ASCII
+            "0,0.0,,0.\x00,1,1.0,0,",  # NUL: csv.Error on Python 3.10, a bad float later
+        ],
+    )
+    def test_undecodable_trace_exits_2(self, tmp_path, capsys, row):
+        trace_path = tmp_path / "bad_trace.csv"
+        trace_path.write_bytes(f"k,t,x,y,h,M,in_switch,err_abs\r\n{row}\r\n".encode("utf-8"))
+        code = main(["verify", "--config", str(CONFIGS / "sine_steady.json"),
+                     "--trace", str(trace_path), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(trace_path) in err
+        assert "Traceback" not in err
+
 
 class TestCliCompare:
     def test_compare_reports_ordering(self, tmp_path, capsys):
@@ -344,6 +391,14 @@ class TestCliEncodeDecode:
         decoded = read_trace_csv(tmp_path / "samples_trace.csv", PAPER_CODEC)
         for a, b in zip(decoded.records, result.encoder_trace.records):
             assert (a.y, a.m) == (b.y, b.m)
+
+    def test_decode_slope_overflow_exits_2(self, tmp_path, capsys):
+        # the slope M0 * a**p stays finite, but a**p alone overflows a float
+        odm = tmp_path / "tiny.odm"
+        write_bitstream(odm, CodecParams(y0=0, m0=1e-300, mbar=1e-300, a=2, delta=1), [1] * 1100)
+        assert main(["decode", str(odm)]) == 2
+        err = capsys.readouterr().err
+        assert "overflowed" in err and "Traceback" not in err
 
     def test_empty_samples_csv(self, tmp_path, capsys):
         samples_path = tmp_path / "empty.csv"

@@ -1,14 +1,18 @@
-"""The numpy cell-grid kernels and the columnar codec kernel against oracles.
+"""The numpy and columnar kernels against the code they replaced, as oracles.
 
 The first oracles are the per-point loops the cell-grid kernels replaced:
 ``at`` one time at a time, the literal cell-point list, the scalar variation
 scan and the per-cell interval-error loop over :func:`admtrack.reconstruct`.
 The codec oracles further down are the per-step state machine the columnar
-kernel replaced. Every kernel must agree with its oracle bit for bit.
+kernel replaced. After them come the ``csv``-module trace writer and
+row-loop reader the columnar CSV I/O replaced, and the per-step loops behind
+the steady-state scans of the verifier. Every kernel must agree with its
+oracle bit for bit.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 import random
 from dataclasses import dataclass, replace
@@ -19,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import admtrack.codec as codec_module
+import admtrack.harness as harness
 import admtrack.theory as theory
 from admtrack import (
     MINUS,
@@ -28,6 +33,7 @@ from admtrack import (
     Constant,
     DomainError,
     Erasure,
+    FormatError,
     GrowthBound,
     NumericError,
     Piecewise,
@@ -45,11 +51,14 @@ from admtrack import (
     encode_step,
     estimate_variation_bound,
     init_state,
+    read_trace_csv,
     reconstruct,
     sample,
     transmit,
     verify_theorem,
+    write_trace_csv,
 )
+from admtrack.harness import CHUNK_ROWS, TRACE_COLUMNS
 from admtrack.signals import CHUNK_CELLS, cell_grid, cell_points
 
 
@@ -764,3 +773,454 @@ def test_consistent_traces_skip_the_row_loop(monkeypatch, hand_params, hand_samp
         except NumericError:
             continue
         assert check_trace(trace) == []
+
+
+# --- trace CSV writer and reader ----------------------------------------------
+#
+# The oracles are the csv-module writer and row-loop reader the columnar I/O
+# replaced (the reader with its undecodable-file errors typed). The new
+# writer must write the same bytes; the new reader must return an equal
+# trace or raise a FormatError with the same message.
+
+
+def oracle_format_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def oracle_write_trace_csv(path, trace, x_values=None):
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRACE_COLUMNS)
+        for record in trace.records:
+            x = record.x
+            if x is None and x_values is not None:
+                x = x_values[record.k]
+            err = abs(x - record.y) if x is not None else None
+            writer.writerow(
+                [record.k, oracle_format_cell(record.t), oracle_format_cell(x),
+                 oracle_format_cell(record.y), record.h, oracle_format_cell(record.m),
+                 oracle_format_cell(record.in_switch), oracle_format_cell(err)]
+            )
+
+
+def oracle_read_trace_csv(path, params):
+    records = []
+    with open(path, "r", encoding="ascii", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise FormatError(f"{path}: empty file, expected header {TRACE_COLUMNS}")
+            if header != TRACE_COLUMNS:
+                raise FormatError(f"{path}: row 1: header {header} != {TRACE_COLUMNS}")
+            for i, row in enumerate(reader, start=2):
+                try:
+                    k = int(row[0])
+                    t = float(row[1])
+                    x = float(row[2]) if row[2] else None
+                    y = float(row[3])
+                    h = int(row[4])
+                    m = float(row[5])
+                    in_switch = row[6] == "1"
+                except (IndexError, ValueError) as exc:
+                    raise FormatError(f"{path}: row {i}: {exc}") from exc
+                if h not in (1, -1):
+                    raise FormatError(f"{path}: row {i}: h must be +1 or -1, got {row[4]}")
+                if k != len(records):
+                    raise FormatError(f"{path}: row {i}: step index {k}, expected {len(records)}")
+                records.append(StepRecord(k, t, x, y, h, m, in_switch))
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not an ASCII trace CSV: {exc}") from exc
+        except csv.Error as exc:
+            raise FormatError(f"{path}: row {reader.line_num}: {exc}") from exc
+    return Trace(params, records)
+
+
+def csv_traces():
+    """(name, trace, x_values) from every producer of traces, the long ones
+    spanning several write chunks."""
+    spec = Sine(amplitude=0.9, frequency_hz=1.0, phase=0.3)
+    params = CodecParams(y0=5.0, m0=13.0, mbar=13.0, a=1.5, delta=0.01)
+    samples = sample(spec, params.delta, (2 * CHUNK_ROWS + 7) * params.delta)
+    bits, encoded = encode_signal(params, samples)
+    decoded = decode_bitstream(params, bits)
+    received = transmit(bits, Erasure(p=0.2, seed=3))
+    erased = decode_with_erasures(params, received)
+    jayant = params.with_rule(AdaptationRule.JAYANT)
+    exact = sample(spec, params.delta, CHUNK_ROWS * params.delta)
+    _, exact_chunk = encode_signal(jayant, exact)
+    cases = [
+        ("encode", encoded, None),
+        ("encode_with_x_values", encoded, samples.values),
+        ("decode", decoded, None),
+        ("decode_with_x_values", decoded, samples.values),
+        ("erasure", erased, None),
+        ("erasure_with_x_values", erased, samples.values),
+        ("jayant_one_full_chunk", exact_chunk, None),
+        ("empty", decode_bitstream(params, []), None),
+        ("empty_with_x_values", decode_bitstream(params, []), ()),
+    ]
+    partly = list(decoded.records[:50])
+    partly[7] = replace(partly[7], x=1.25)
+    cases.append(("partly_missing_x", Trace(params, partly), samples.values))
+    return cases
+
+
+def random_csv_traces(count):
+    for seed in range(count):
+        rng = random.Random(11000 + seed)
+        params = random_codec(rng)
+        values = random_values(rng, rng.randrange(0, 300))
+        try:
+            bits, trace = encode_signal(params, SampledSignal(params.delta, tuple(values)))
+        except NumericError:
+            continue
+        yield f"random{seed}", trace, None
+        yield f"random{seed}_decoded", decode_bitstream(params, bits), values
+
+
+WRITER_CASES = csv_traces() + list(random_csv_traces(20))
+
+
+@pytest.mark.parametrize(
+    "trace,x_values", [case[1:] for case in WRITER_CASES], ids=[case[0] for case in WRITER_CASES]
+)
+def test_trace_csv_writer_matches_oracle_bytes(tmp_path, trace, x_values):
+    write_trace_csv(tmp_path / "new.csv", trace, x_values=x_values)
+    oracle_write_trace_csv(tmp_path / "old.csv", trace, x_values=x_values)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    read = read_trace_csv(tmp_path / "new.csv", trace.params)
+    assert read == oracle_read_trace_csv(tmp_path / "new.csv", trace.params)
+    # a trace read back writes the same bytes again
+    write_trace_csv(tmp_path / "again.csv", read)
+    oracle_write_trace_csv(tmp_path / "again_old.csv", read)
+    assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "again_old.csv").read_bytes()
+
+
+def test_canonical_files_skip_the_row_loop(tmp_path, monkeypatch):
+    def row_loop(path):
+        raise AssertionError("row loop ran on a file in the writer's form")
+
+    monkeypatch.setattr(harness, "_read_csv_rows", row_loop)
+    for name, trace, x_values in csv_traces():
+        path = tmp_path / f"{name}.csv"
+        write_trace_csv(path, trace, x_values=x_values)
+        assert read_trace_csv(path, trace.params) == oracle_read_trace_csv(path, trace.params)
+
+
+def csv_lines(tmp_path):
+    """The CRLF lines (header first) of a decode trace with samples that
+    spans three read chunks."""
+    spec = Sine(amplitude=0.9, frequency_hz=1.0)
+    params = CodecParams(y0=5.0, m0=13.0, mbar=13.0, a=1.5, delta=0.01)
+    samples = sample(spec, params.delta, (2 * CHUNK_ROWS + 30) * params.delta)
+    bits, _ = encode_signal(params, samples)
+    path = tmp_path / "clean.csv"
+    write_trace_csv(path, decode_bitstream(params, bits), x_values=samples.values)
+    return params, path.read_bytes().split(b"\r\n")[:-1]
+
+
+def set_cell(line, index, value):
+    cells = line.split(b",")
+    cells[index] = value
+    return b",".join(cells)
+
+
+def misaligned(lines, i):
+    """Row i gets a 9th cell and row i + 1 loses its 8th, with cells chosen
+    so that a parser splitting the chunk into 8-cell rows would still see k
+    run in order and h = +-1 (shifted one cell right)."""
+    lines[i] += b"," + str(i).encode()
+    lines[i + 1] = set_cell(b",".join(lines[i + 1].split(b",")[:7]), 3, b"1")
+    return lines
+
+
+SECOND_CHUNK = CHUNK_ROWS + 10
+
+CSV_MUTATIONS = {
+    "clean": lambda lines: lines,
+    "lf_only": lambda lines: lines + [b""],
+    "no_final_newline": lambda lines: lines,
+    "quoted_h": lambda lines: lines[:5] + [set_cell(lines[5], 4, b'"1"')] + lines[6:],
+    "quoted_k": lambda lines: lines[:5] + [set_cell(lines[5], 0, b'"4"')] + lines[6:],
+    "seven_fields": lambda lines: lines[:5] + [b",".join(lines[5].split(b",")[:7])] + lines[6:],
+    "nine_fields": lambda lines: lines[:5] + [lines[5] + b",extra"] + lines[6:],
+    "seven_and_nine_fields_misaligned": lambda lines: misaligned(lines, 20),
+    "blank_line": lambda lines: lines[:5] + [b""] + lines[5:],
+    "bad_h": lambda lines: lines[:5] + [set_cell(lines[5], 4, b"2")] + lines[6:],
+    "bad_h_second_chunk": lambda lines: lines[:SECOND_CHUNK] + [set_cell(lines[SECOND_CHUNK], 4, b"0")] + lines[SECOND_CHUNK + 1:],
+    "out_of_order_k": lambda lines: lines[:5] + [lines[6], lines[5]] + lines[7:],
+    "missing_row": lambda lines: lines[:SECOND_CHUNK] + lines[SECOND_CHUNK + 1:],
+    "non_ascii_byte": lambda lines: lines[:5] + [lines[5] + b"\xe9"] + lines[6:],
+    "non_ascii_byte_second_chunk": lambda lines: lines[:SECOND_CHUNK] + [set_cell(lines[SECOND_CHUNK], 7, b"\xc3\xa9")] + lines[SECOND_CHUNK + 1:],
+    "nul_in_ignored_cell": lambda lines: lines[:5] + [set_cell(lines[5], 7, b"\x00")] + lines[6:],
+    "bad_float_second_chunk": lambda lines: lines[:SECOND_CHUNK] + [set_cell(lines[SECOND_CHUNK], 1, b"1.0.0")] + lines[SECOND_CHUNK + 1:],
+    "empty_x_cell": lambda lines: lines[:5] + [set_cell(set_cell(lines[5], 2, b""), 7, b"")] + lines[6:],
+    "signed_and_spaced_ints": lambda lines: lines[:5] + [set_cell(set_cell(lines[5], 0, b" +4"), 4, b"+1 ")] + lines[6:],
+    "stray_cr": lambda lines: lines[:5] + [set_cell(lines[5], 7, b"1\r2")] + lines[6:],
+    "lf_header": lambda lines: [lines[0] + b"\n" + lines[1]] + lines[2:],
+    "bad_header": lambda lines: [b"k,t,x,y,h,m,in_switch,err_abs"] + lines[1:],
+    "header_only": lambda lines: lines[:1],
+    "empty_file": lambda lines: [],
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(CSV_MUTATIONS))
+def test_trace_csv_reader_matches_oracle_on_mutated_files(tmp_path, mutation):
+    params, lines = csv_lines(tmp_path)
+    lines = CSV_MUTATIONS[mutation](list(lines))
+    if mutation == "lf_only":
+        body = b"\n".join(lines)
+    elif mutation in ("no_final_newline", "empty_file"):
+        body = b"\r\n".join(lines)
+    else:
+        body = b"".join(line + b"\r\n" for line in lines)
+    path = tmp_path / "mutated.csv"
+    path.write_bytes(body)
+    outcome, want = same_outcome(
+        lambda: read_trace_csv(path, params), lambda: oracle_read_trace_csv(path, params)
+    )
+    if want is not None:
+        assert outcome == want
+    elif mutation != "nul_in_ignored_cell":  # csv rejects NUL before Python 3.11
+        assert mutation not in ("clean", "lf_only", "no_final_newline", "seven_fields")
+
+
+def test_misaligned_rows_read_like_the_row_loop(tmp_path):
+    """The 7- and 9-cell rows above are accepted, with row 21's y read as 1."""
+    params, lines = csv_lines(tmp_path)
+    path = tmp_path / "misaligned.csv"
+    path.write_bytes(b"".join(line + b"\r\n" for line in misaligned(list(lines), 20)))
+    trace = read_trace_csv(path, params)
+    assert trace.y[20] == 1.0 and trace.k == list(range(len(lines) - 1))
+
+
+# --- steady-state scans ---------------------------------------------------------
+#
+# The oracle is the per-step loop the numpy scans of theory._check_steady
+# replaced. With each steady claim violated alone, and with all of them
+# interleaved, the report must match it exactly.
+
+
+def oracle_check_steady(report, trace, x_samples, switches, factor):
+    params = trace.params
+    n = report.n_steps
+    eta = report.eta
+    xs = x_samples.values
+    floor = params.mbar
+    lifted = params.a * params.mbar
+    report.checked += ["step_size_set", "switch_floor", "sample_error"]
+    rows = zip(trace.m[eta:], trace.in_switch[eta:], trace.y[eta:], xs[eta:])
+    for k, (m, in_switch, y, x) in enumerate(rows, start=eta):
+        if m != floor and m != lifted:
+            report.violations.append(
+                theory.Violation("step_size_set", k, f"slope {m!r} not in {{mbar, a*mbar}}"))
+        if in_switch and m != floor:
+            report.violations.append(
+                theory.Violation("switch_floor", k, f"switch slope {m!r} != mbar {floor!r}"))
+        err = abs(x - y)
+        if err > report.sample_error_bound:
+            report.violations.append(
+                theory.Violation("sample_error", k, f"|x - y| = {err} > {report.sample_error_bound}"))
+    if x_samples.spec is None:
+        report.not_applicable.append(
+            ("interval_error", "samples carry no signal spec to evaluate between grid points"))
+    else:
+        report.checked.append("interval_error")
+        theory._check_interval_error(report, trace, x_samples.spec, params.delta, factor)
+    report.checked.append("switch_gap")
+    post = [k for k in switches if k >= eta]
+    for i, s in enumerate(post):
+        nxt = post[i + 1] if i + 1 < len(post) else None
+        if nxt is not None:
+            if nxt - s > 3:
+                report.violations.append(
+                    theory.Violation("switch_gap", s, f"next switch only at {nxt} (> {s} + 3)"))
+        elif s + 3 <= n - 1:
+            report.violations.append(
+                theory.Violation("switch_gap", s, f"no further switch in ({s}, {s + 3}]"))
+    report.checked.append("symbol_run")
+    run = 1
+    hs = trace.h
+    for k in range(eta + 2, n):
+        run = run + 1 if hs[k] == hs[k - 1] else 1
+        if run == 4:
+            report.violations.append(theory.Violation("symbol_run", k, "four equal symbols in a row"))
+
+
+def steady_verify(monkeypatch, oracle, *args, **kwargs):
+    if not oracle:
+        return verify_theorem(*args, **kwargs)
+    with monkeypatch.context() as patch:
+        patch.setattr(theory, "_check_steady", oracle_check_steady)
+        return verify_theorem(*args, **kwargs)
+
+
+def steady_run():
+    """A sine trace whose steady-state claims all hold from an early eta."""
+    spec = Sine(amplitude=0.9, frequency_hz=1.0, phase=0.3)
+    params = CodecParams(y0=5.0, m0=13.0, mbar=13.0, a=1.5, delta=0.01)
+    samples = sample(spec, params.delta, 8.0)
+    _, trace = encode_signal(params, samples)
+    variation = estimate_variation_bound(spec, params.delta, (0.0, len(samples) * params.delta), 32)
+    return trace, samples, variation
+
+
+def columns_of(trace):
+    return {name: list(getattr(trace, name)) for name in Trace.COLUMNS}
+
+
+def break_step_size_set(columns, values, k, params):
+    while columns["in_switch"][k]:
+        k += 1
+    columns["m"][k] = params.mbar * 1.25
+
+
+def break_switch_floor(columns, values, k, params):
+    while not columns["in_switch"][k]:
+        k += 1
+    columns["m"][k] = params.a * params.mbar
+
+
+def break_sample_error(columns, values, k, params):
+    values[k] += 1.0
+
+
+def break_switch_gap(columns, values, k, params):
+    flags = columns["in_switch"]
+    flags[k:k + 12] = [False] * len(flags[k:k + 12])
+
+
+def break_symbol_run(columns, values, k, params):
+    hs = columns["h"]
+    hs[k:k + 5] = [hs[k]] * len(hs[k:k + 5])
+
+
+STEADY_BREAKERS = {
+    "step_size_set": break_step_size_set,
+    "switch_floor": break_switch_floor,
+    "sample_error": break_sample_error,
+    "switch_gap": break_switch_gap,
+    "symbol_run": break_symbol_run,
+}
+
+
+def broken_run(claims_at):
+    trace, samples, variation = steady_run()
+    columns, values = columns_of(trace), list(samples.values)
+    for claim, k in claims_at:
+        STEADY_BREAKERS[claim](columns, values, k, trace.params)
+    broken = Trace.from_columns(trace.params, **columns)
+    # no spec: interval_error is not applicable, so it cannot add violations
+    return broken, SampledSignal(samples.delta, tuple(values)), variation
+
+
+@pytest.mark.parametrize("claim", sorted(STEADY_BREAKERS))
+@pytest.mark.parametrize("k", [300, 790])
+def test_each_steady_claim_violated_alone_matches_oracle(monkeypatch, claim, k):
+    args = broken_run([(claim, k)])
+    report = steady_verify(monkeypatch, False, *args)
+    expected = steady_verify(monkeypatch, True, *args)
+    assert report.to_dict() == expected.to_dict()
+    assert {v.claim for v in report.violations} == {claim}
+    assert report.eta is not None and report.eta < 300
+
+
+def test_all_steady_claims_interleaved_match_oracle(monkeypatch):
+    claims_at = [
+        (claim, k)
+        for i, claim in enumerate(sorted(STEADY_BREAKERS))
+        for k in (100 + 7 * i, 400 + 29 * i, 640 - 11 * i)
+    ]
+    claims_at.append(("switch_gap", 790))  # no switch in the last steps
+    args = broken_run(claims_at)
+    report = steady_verify(monkeypatch, False, *args)
+    expected = steady_verify(monkeypatch, True, *args)
+    assert report.to_dict() == expected.to_dict()
+    assert {v.claim for v in report.violations} == set(STEADY_BREAKERS)
+    # with the spec back, interval_error joins the interleaving
+    broken, samples, variation = args
+    with_spec = SampledSignal(samples.delta, samples.values, steady_run()[1].spec)
+    report = steady_verify(monkeypatch, False, broken, with_spec, variation)
+    assert report.to_dict() == steady_verify(monkeypatch, True, broken, with_spec, variation).to_dict()
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_randomly_broken_steady_state_matches_oracle(monkeypatch, seed):
+    rng = random.Random(12000 + seed)
+    trace, samples, certified, factor = random_run(rng)
+    columns, values = columns_of(trace), list(samples.values)
+    n = len(trace)
+    for _ in range(rng.randrange(0, 6)):
+        claim = rng.choice(sorted(STEADY_BREAKERS))
+        k = rng.randrange(n)
+        if claim == "step_size_set" and not all(columns["in_switch"][k:]):
+            break_step_size_set(columns, values, k, trace.params)
+        elif claim == "switch_floor" and any(columns["in_switch"][k:]):
+            break_switch_floor(columns, values, k, trace.params)
+        elif claim in ("sample_error", "switch_gap", "symbol_run"):
+            STEADY_BREAKERS[claim](columns, values, k, trace.params)
+    broken = Trace.from_columns(trace.params, **columns)
+    spec = rng.choice([None, samples.spec])
+    args = (broken, SampledSignal(samples.delta, tuple(values), spec), certified)
+    kwargs = dict(oversample_factor=factor, start_index=rng.choice([0, rng.randrange(n)]))
+    report = steady_verify(monkeypatch, False, *args, **kwargs)
+    assert report.to_dict() == steady_verify(monkeypatch, True, *args, **kwargs).to_dict()
+
+
+def test_clean_steady_state_skips_the_loops(monkeypatch):
+    def loop(*args):
+        raise AssertionError("a steady-state loop ran without a violation")
+
+    for name in ("_steady_slope_and_error_rows", "_switch_gap_rows", "_symbol_run_rows"):
+        monkeypatch.setattr(theory, name, loop)
+    trace, samples, variation = steady_run()
+    report = verify_theorem(trace, samples, variation)
+    assert report.ok and len(report.checked) == 7
+
+
+def test_steady_scans_stop_where_the_loops_stop(monkeypatch):
+    """The symbol run is counted from eta + 1, switches from eta on, a gap
+    of 4 is too long and the last switch may sit 3 steps before the end; the
+    scans must find exactly what the loops find."""
+    trace, samples, variation = steady_run()
+    samples = SampledSignal(samples.delta, samples.values)
+    eta = verify_theorem(trace, samples, variation).eta
+    n = len(trace)
+
+    def edited(h_at=None, last_switch=None, gap_at=None):
+        columns = columns_of(trace)
+        if gap_at is not None:
+            columns["in_switch"][gap_at:gap_at + 5] = [True, False, False, False, True]
+            columns["m"][gap_at] = columns["m"][gap_at + 4] = trace.params.mbar
+        if h_at is not None:
+            columns["h"][h_at - 1:h_at + 5] = [-1, 1, 1, 1, 1, -1]
+        if last_switch is not None:
+            flags = columns["in_switch"]
+            flags[last_switch:] = [True] + [False] * (n - last_switch - 1)
+            columns["m"][last_switch] = trace.params.mbar
+        return Trace.from_columns(trace.params, **columns)
+
+    def verify_both(broken):
+        report = verify_theorem(broken, samples, variation)
+        assert report.to_dict() == steady_verify(monkeypatch, True, broken, samples, variation).to_dict()
+        return report
+
+    assert [v.step for v in verify_both(edited(h_at=eta + 1)).violations] == [eta + 4]
+    assert [v.step for v in verify_both(edited(last_switch=n - 4)).violations] == [n - 4]
+    assert [v.step for v in verify_both(edited(gap_at=eta)).violations] == [eta]
+    assert [v.step for v in verify_both(edited(gap_at=400)).violations] == [400]
+
+    def loop(*args):
+        raise AssertionError("a steady-state loop ran without a violation")
+
+    monkeypatch.setattr(theory, "_switch_gap_rows", loop)
+    monkeypatch.setattr(theory, "_symbol_run_rows", loop)
+    assert verify_theorem(edited(h_at=eta), samples, variation).ok
+    assert verify_theorem(edited(last_switch=n - 3), samples, variation).ok

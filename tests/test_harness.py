@@ -219,13 +219,6 @@ class TestTraceCsv:
         with pytest.raises(FormatError, match="header"):
             read_trace_csv(path, PAPER_CODEC)
 
-    def test_non_ascii_byte_is_a_format_error(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_bytes(b"k,t,x,y,h,M,in_switch,err_abs\r\n0,0.0,,0.0,1,1.0,0,\xc3\xa9\r\n")
-        with pytest.raises(FormatError, match="not an ASCII trace CSV") as error:
-            read_trace_csv(path, PAPER_CODEC)
-        assert str(path) in str(error.value)
-
     def test_csv_error_is_a_format_error(self, tmp_path):
         # a cell beyond csv.field_size_limit() is a csv.Error on every version
         path = tmp_path / "bad.csv"
@@ -234,18 +227,6 @@ class TestTraceCsv:
         with pytest.raises(FormatError, match="row 2") as error:
             read_trace_csv(path, PAPER_CODEC)
         assert str(path) in str(error.value)
-
-    def test_lenient_forms_still_read(self, tmp_path):
-        result = run_simulation(jump_config())
-        path = tmp_path / "trace.csv"
-        write_trace_csv(path, result.decoder_trace, x_values=result.samples.values)
-        want = read_trace_csv(path, PAPER_CODEC)
-        rows = path.read_text().splitlines()
-        rows[3] = ",".join(f'"{cell}"' for cell in rows[3].split(","))  # quoted cells
-        rows[4] = ",".join(rows[4].split(",")[:7])  # no err_abs cell
-        rows[5] += ",extra"
-        path.write_text("\n".join(rows))  # LF line ends, no final newline
-        assert read_trace_csv(path, PAPER_CODEC) == want
 
 
 def _run_in(tmp_path, config_name, *args):

@@ -153,7 +153,10 @@ def write_bitstream(path, params: CodecParams, bits: Sequence[Symbol]) -> None:
 def read_bitstream(path) -> tuple[CodecParams, list[Symbol]]:
     """Read an ODM/1 file back into (params, bits)."""
     with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not an ASCII ODM/1 file: {exc}") from exc
     lines = text.split("\n")
     if not lines or lines[0] != MAGIC:
         raise FormatError(f"line 1: bad magic {lines[0][:16]!r}, expected {MAGIC!r}")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -46,7 +47,13 @@ from .theory import verify_theorem
 __all__ = ["main"]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls.
+
+    ``parse_args`` returns a fresh namespace on every call, so no value
+    carries over from one :func:`main` call to the next.
+    """
     parser = argparse.ArgumentParser(
         prog="admtrack",
         description="One-bit-per-sample signal tracking codec: simulate, verify, compare, encode, decode.",
@@ -197,16 +204,22 @@ def _read_samples_csv(path) -> list[float]:
     """Read the 'x' column; a zero-byte or header-only file is empty."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            return []
-        if "x" not in reader.fieldnames:
-            raise FormatError(f"{path}: row 1: no 'x' column in {reader.fieldnames}")
-        values = []
-        for i, row in enumerate(reader, start=2):
-            try:
-                values.append(float(row["x"]))
-            except (TypeError, ValueError) as exc:
-                raise FormatError(f"{path}: row {i}: bad sample {row.get('x')!r}") from exc
+        try:
+            if reader.fieldnames is None:
+                return []
+            if "x" not in reader.fieldnames:
+                raise FormatError(f"{path}: row 1: no 'x' column in {reader.fieldnames}")
+            values = []
+            for i, row in enumerate(reader, start=2):
+                try:
+                    values.append(float(row["x"]))
+                except (TypeError, ValueError) as exc:
+                    raise FormatError(f"{path}: row {i}: bad sample {row.get('x')!r}") from exc
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not a UTF-8 samples CSV: {exc}") from exc
+        except csv.Error as exc:
+            # DictReader.line_num lags a row that fails to parse; its reader's does not
+            raise FormatError(f"{path}: row {reader.reader.line_num}: {exc}") from exc
     return values
 
 

@@ -622,9 +622,9 @@ def _read_csv_rows(path) -> tuple[list, ...]:
 def write_json(path, document: dict) -> None:
     """Sorted-key JSON with a trailing newline, written atomically."""
     tmp = f"{path}.tmp"
+    text = json.dumps(document, sort_keys=True, indent=2) + "\n"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(document, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text)
     os.replace(tmp, path)
 
 

@@ -252,12 +252,15 @@ def fit_growth_bound(samples: SampledSignal, exponent: float = 1.0) -> GrowthBou
     """
     values = np.abs(np.asarray(samples.values, dtype=float))
     n = len(values)
+    vmax = float(values.max()) if n else 0.0
     scale = 0.0
     for m in range(1, n):
         tau = (m * samples.delta) ** exponent
+        # Every ratio at this lag is at most vmax / tau (|x_k| + tau >= tau).
+        if tau > 0.0 and vmax / tau <= scale:
+            continue
         ratios = values[m:] / (values[:-m] + tau)
-        if ratios.size:
-            scale = max(scale, float(ratios.max()))
+        scale = max(scale, float(ratios.max()))
     return GrowthBound(scale=max(scale, 1e-12), exponent=exponent)
 
 
@@ -265,9 +268,13 @@ def verify_growth(samples: SampledSignal, bound: GrowthBound) -> list[GrowthViol
     """All grid pairs (k, m >= 1) breaking the growth inequality (closed)."""
     values = np.abs(np.asarray(samples.values, dtype=float))
     n = len(values)
+    vmax = float(values.max()) if n else 0.0
     violations: list[GrowthViolation] = []
     for m in range(1, n):
         tau = (m * samples.delta) ** bound.exponent
+        # Every limit at this lag is at least scale * tau (scale > 0).
+        if bound.scale * tau >= vmax:
+            continue
         limits = bound.scale * (values[:-m] + tau)
         bad = np.nonzero(values[m:] > limits)[0]
         for k in bad:

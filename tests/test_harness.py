@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,12 +27,13 @@ from admtrack import (
     write_bitstream,
     write_trace_csv,
 )
-from admtrack.cli import main
+from admtrack.cli import _build_parser, main
 from admtrack.harness import config_from_dict, config_to_dict
 
 from conftest import HAND_BODY
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 JUMP_SIGNAL = Piecewise(segments=((0.0, Constant(2.0)), (1.0, Ramp(slope=0.03, intercept=-1.0))))
 PAPER_CODEC = CodecParams(y0=5.0, m0=0.08, mbar=0.08, a=1.5, delta=0.04)
@@ -381,6 +385,28 @@ class TestCliEncodeDecode:
         err = capsys.readouterr().err
         assert "overflowed" in err and "Traceback" not in err
 
+    def test_non_ascii_bitstream_exits_2(self, tmp_path, capsys):
+        odm = tmp_path / "accent.odm"
+        write_bitstream(odm, PAPER_CODEC, [1, 1, -1])
+        odm.write_bytes(odm.read_bytes().replace(b"\n110\n", b"\n1\xe90\n"))
+        assert main(["decode", str(odm)]) == 2
+        err = capsys.readouterr().err
+        assert str(odm) in err and "ASCII" in err and "Traceback" not in err
+
+    def test_non_utf8_samples_csv_exits_2(self, tmp_path, capsys):
+        samples_path = tmp_path / "bad.csv"
+        samples_path.write_bytes(b"x\n1.0\n\xff\n")
+        assert main(["encode", str(samples_path), "--delta", "1", "--y0", "0", "--m0", "1"]) == 2
+        err = capsys.readouterr().err
+        assert str(samples_path) in err and "UTF-8" in err
+
+    def test_samples_cell_over_field_limit_exits_2(self, tmp_path, capsys):
+        samples_path = tmp_path / "big.csv"
+        big = "1" * (csv.field_size_limit() + 1)
+        samples_path.write_text(f"x\n1.0\n{big}\n2.0\n")
+        assert main(["encode", str(samples_path), "--delta", "1", "--y0", "0", "--m0", "1"]) == 2
+        assert f"{samples_path}: row 3: field larger than field limit" in capsys.readouterr().err
+
     def test_empty_samples_csv(self, tmp_path, capsys):
         samples_path = tmp_path / "empty.csv"
         samples_path.write_text("")
@@ -443,3 +469,47 @@ class TestCliUsage:
         path.write_text("{")
         assert main(["simulate", "--config", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+def _outputs(out: Path) -> dict:
+    """Each file name in ``out`` mapped to its bytes."""
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+def _fresh_process_outputs(workdir: Path, *argv) -> dict:
+    """The files the CLI writes when run in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run([sys.executable, "-m", "admtrack.cli", *argv, "--out", str(workdir)],
+                   env=env, capture_output=True, check=True, timeout=120)
+    return _outputs(workdir)
+
+
+class TestCliSharedParser:
+    """main() reuses one parser per process, and no option carries over."""
+
+    def test_options_do_not_carry_over_between_calls(self, tmp_path):
+        _build_parser.cache_clear()
+        sine = str(CONFIGS / "sine_steady.json")
+        erasure = str(CONFIGS / "erasure_jump.json")
+
+        main(["verify", "--config", sine, "--rule", "jayant", "--delta", "0.02",
+              "--out", str(tmp_path / "jayant")])
+        assert main(["verify", "--config", sine, "--out", str(tmp_path / "plain")]) == 0
+        plain = _outputs(tmp_path / "plain")
+        assert plain != _outputs(tmp_path / "jayant")
+        assert plain == _fresh_process_outputs(tmp_path / "fresh_verify", "verify", "--config", sine)
+
+        assert main(["simulate", "--config", erasure, "--seed", "3",
+                     "--out", str(tmp_path / "seed3")]) == 0
+        assert main(["simulate", "--config", erasure, "--out", str(tmp_path / "default")]) == 0
+        default = _outputs(tmp_path / "default")
+        assert default != _outputs(tmp_path / "seed3")
+        assert default == _fresh_process_outputs(tmp_path / "fresh_simulate", "simulate", "--config", erasure)
+
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", sine, "--no-such-flag"])
+        assert exc.value.code == 2
+        assert main(["compare", "--config", str(CONFIGS / "compare_jump.json"),
+                     "--out", str(tmp_path / "compare")]) == 0
+
+        assert _build_parser.cache_info().misses == 1

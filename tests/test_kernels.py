@@ -5,9 +5,9 @@ The first oracles are the per-point loops the cell-grid kernels replaced:
 scan and the per-cell interval-error loop over :func:`admtrack.reconstruct`.
 The codec oracles further down are the per-step state machine the columnar
 kernel replaced. After them come the ``csv``-module trace writer and
-row-loop reader the columnar CSV I/O replaced, and the per-step loops behind
-the steady-state scans of the verifier. Every kernel must agree with its
-oracle bit for bit.
+row-loop reader the columnar CSV I/O replaced, the per-step loops behind
+the steady-state scans of the verifier, and the all-lags loops of the growth
+certificates. Every kernel must agree with its oracle bit for bit.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from admtrack import (
     Erasure,
     FormatError,
     GrowthBound,
+    GrowthViolation,
     NumericError,
     Piecewise,
     Ramp,
@@ -50,11 +51,13 @@ from admtrack import (
     encode_signal,
     encode_step,
     estimate_variation_bound,
+    fit_growth_bound,
     init_state,
     read_trace_csv,
     reconstruct,
     sample,
     transmit,
+    verify_growth,
     verify_theorem,
     write_trace_csv,
 )
@@ -1224,3 +1227,72 @@ def test_steady_scans_stop_where_the_loops_stop(monkeypatch):
     monkeypatch.setattr(theory, "_symbol_run_rows", loop)
     assert verify_theorem(edited(h_at=eta), samples, variation).ok
     assert verify_theorem(edited(last_switch=n - 3), samples, variation).ok
+
+
+# --- growth certificates --------------------------------------------------------
+#
+# The oracles are the loops over every lag m that the pruned scans replaced.
+# A lag whose largest possible ratio cannot raise the fitted scale, or whose
+# smallest limit no sample can exceed, is skipped; the results must not move.
+
+
+def oracle_fit_growth_bound(samples, exponent):
+    values = np.abs(np.asarray(samples.values, dtype=float))
+    scale = 0.0
+    for m in range(1, len(values)):
+        tau = (m * samples.delta) ** exponent
+        ratios = values[m:] / (values[:-m] + tau)
+        if ratios.size:
+            scale = max(scale, float(ratios.max()))
+    return GrowthBound(scale=max(scale, 1e-12), exponent=exponent)
+
+
+def oracle_verify_growth(samples, bound):
+    values = np.abs(np.asarray(samples.values, dtype=float))
+    violations = []
+    for m in range(1, len(values)):
+        tau = (m * samples.delta) ** bound.exponent
+        limits = bound.scale * (values[:-m] + tau)
+        for k in np.nonzero(values[m:] > limits)[0]:
+            violations.append(GrowthViolation(
+                k=int(k), m=m, value=float(values[k + m]), limit=float(limits[k])))
+    return violations
+
+
+def random_growth_samples(rng: random.Random) -> SampledSignal:
+    n = rng.randrange(0, 40)
+    kind = rng.randrange(5)
+    if kind == 0:
+        values = [0.0] * n
+    elif kind == 1:
+        values = [rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 5.0)] * n
+    elif kind == 2:  # huge and tiny magnitudes side by side
+        values = [rng.choice([-1.0, 1.0]) * 10.0 ** rng.choice([-300, -5, 0, 5, 300])
+                  for _ in range(n)]
+    else:
+        values = random_values(rng, n)
+    # 1e-200 makes tau underflow to 0 for exponents above 1.5
+    delta = rng.choice([1e-200, 1e-3, 0.04, 0.5, 1.0, 3.0, rng.uniform(1e-3, 2.0)])
+    return SampledSignal(delta, values)
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_growth_certificates_match_the_all_lags_loops(seed):
+    rng = random.Random(seed)
+    samples = random_growth_samples(rng)
+    exponent = rng.uniform(0.5, 3.7)
+    with np.errstate(all="ignore"):  # 0/0 and x/0 where tau underflows
+        fitted = fit_growth_bound(samples, exponent)
+        assert fitted == oracle_fit_growth_bound(samples, exponent)
+        for bound in (fitted, GrowthBound(scale=rng.uniform(0.1, 8.0), exponent=exponent)):
+            assert verify_growth(samples, bound) == oracle_verify_growth(samples, bound)
+
+
+def test_growth_tau_overflow_raises_like_the_loops():
+    samples = SampledSignal(1e200, [1.0, 2.0, 3.0])
+    with pytest.raises(OverflowError):
+        oracle_fit_growth_bound(samples, 2.0)
+    with pytest.raises(OverflowError):
+        fit_growth_bound(samples, 2.0)
+    with pytest.raises(OverflowError):
+        verify_growth(samples, GrowthBound(scale=1.0, exponent=2.0))

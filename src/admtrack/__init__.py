@@ -14,9 +14,7 @@ from .codec import (
     PLUS,
     AdaptationRule,
     CodecParams,
-    CodecState,
     StepRecord,
-    Symbol,
     Trace,
     check_trace,
     decode_bitstream,
@@ -25,12 +23,9 @@ from .codec import (
     encode_step,
     init_state,
     reconstruct,
-    step_size_update,
     symbol_for_sample,
 )
 from .channel import (
-    HOLD_SYMBOL,
-    ChannelModel,
     Erasure,
     Noiseless,
     ReceivedStream,
@@ -49,11 +44,8 @@ from .errors import (
     SequencingError,
 )
 from .harness import (
-    ComparisonReport,
     ComparisonSettings,
     ExperimentConfig,
-    ExperimentOutputs,
-    SimulationResult,
     load_config,
     read_trace_csv,
     recovery_steps,
@@ -68,25 +60,22 @@ from .signals import (
     Piecewise,
     Ramp,
     SampledSignal,
-    SignalSpec,
     Sine,
     VariationBound,
     discontinuities,
     estimate_variation_bound,
     fit_growth_bound,
+    restart_index,
     sample,
     sample_count,
     verify_growth,
 )
 from .theory import (
-    TheoremReport,
     Violation,
     acquisition_bound,
     detect_settling,
-    restart_index,
     settling_window,
     steady_error_bounds,
-    switch_set,
     verify_theorem,
 )
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -29,11 +29,12 @@ import numpy as np
 from .codec import (
     MINUS,
     PLUS,
-    AdaptationRule,
     CodecParams,
     Symbol,
     Trace,
     _run_stream,
+    codec_from_dict,
+    codec_to_dict,
 )
 from .errors import FormatError, ParameterError
 
@@ -42,7 +43,6 @@ __all__ = [
     "Erasure",
     "ChannelModel",
     "ReceivedStream",
-    "HOLD_SYMBOL",
     "transmit",
     "decode_with_erasures",
     "write_bitstream",
@@ -50,8 +50,6 @@ __all__ = [
 ]
 
 MAGIC = "ODM/1"
-
-HOLD_SYMBOL = "hold-symbol"
 
 
 @dataclass(frozen=True)
@@ -96,41 +94,20 @@ def transmit(bits: Sequence[Symbol], model: ChannelModel) -> ReceivedStream:
     )
 
 
-def decode_with_erasures(
-    params: CodecParams,
-    received: ReceivedStream,
-    policy: str = HOLD_SYMBOL,
-) -> Trace:
+def decode_with_erasures(params: CodecParams, received: ReceivedStream) -> Trace:
     """Decode a stream with erasures by substituting the previous symbol.
 
-    The hold-symbol policy repeats the last seen symbol (+1 before step 0)
-    at every erased position and continues the shared recursion; substituted
-    steps are marked on their records. On an erasure-free stream this is
-    exactly :func:`admtrack.codec.decode_bitstream`.
+    Every erased position repeats the last seen symbol (+1 before step 0)
+    and the shared recursion continues; substituted steps are marked on
+    their records. On an erasure-free stream this is exactly
+    :func:`admtrack.codec.decode_bitstream`.
     """
-    if policy != HOLD_SYMBOL:
-        raise ParameterError(f"unknown erasure policy {policy!r}")
-    held: list[Symbol] = []
-    substituted: list[bool] = []
-    h = PLUS
-    for symbol in received.symbols:
-        if symbol is not None:
-            h = symbol
-        held.append(h)
-        substituted.append(symbol is None)
+    held = list(received.symbols)
+    substituted = [symbol is None for symbol in held]
+    # in step order, so held[k - 1] is already the last seen symbol
+    for k in compress(range(len(held)), substituted):
+        held[k] = held[k - 1] if k else PLUS
     return _run_stream(params, repeat(None), held, substituted)
-
-
-def _params_to_header(params: CodecParams, count: int) -> dict:
-    return {
-        "y0": params.y0,
-        "M0": params.m0,
-        "Mbar": params.mbar,
-        "a": params.a,
-        "delta": params.delta,
-        "rule": params.rule.value,
-        "count": count,
-    }
 
 
 def write_bitstream(path, params: CodecParams, bits: Sequence[Symbol]) -> None:
@@ -143,7 +120,7 @@ def write_bitstream(path, params: CodecParams, bits: Sequence[Symbol]) -> None:
             body.append("0")
         else:
             raise FormatError(f"symbol at position {k} is {b!r}, not +1/-1")
-    header = json.dumps(_params_to_header(params, len(bits)), sort_keys=True)
+    header = json.dumps({**codec_to_dict(params), "count": len(bits)}, sort_keys=True)
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="ascii") as fh:
         fh.write(f"{MAGIC}\n{header}\n{''.join(body)}\n")
@@ -158,36 +135,27 @@ def read_bitstream(path) -> tuple[CodecParams, list[Symbol]]:
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: not an ASCII ODM/1 file: {exc}") from exc
     lines = text.split("\n")
-    if not lines or lines[0] != MAGIC:
-        raise FormatError(f"line 1: bad magic {lines[0][:16]!r}, expected {MAGIC!r}")
+    if lines[0] != MAGIC:
+        raise FormatError(f"{path}: line 1: bad magic {lines[0][:16]!r}, expected {MAGIC!r}")
     if len(lines) < 3:
-        raise FormatError("file truncated: need magic, header, and body lines")
+        raise FormatError(f"{path}: file truncated: need magic, header, and body lines")
     try:
         header = json.loads(lines[1])
     except json.JSONDecodeError as exc:
-        raise FormatError(f"line 2: bad header JSON: {exc}") from exc
+        raise FormatError(f"{path}: line 2: bad header JSON: {exc}") from exc
     required = {"y0", "M0", "Mbar", "a", "delta", "rule", "count"}
     if not isinstance(header, dict) or not required <= set(header):
-        raise FormatError(f"line 2: header must carry keys {sorted(required)}")
+        raise FormatError(f"{path}: line 2: header must carry keys {sorted(required)}")
     count = header["count"]
-    if not isinstance(count, int) or count < 0:
-        raise FormatError(f"line 2: count must be a non-negative integer, got {count!r}")
+    if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+        raise FormatError(f"{path}: line 2: count must be a non-negative integer, got {count!r}")
     try:
-        params = CodecParams(
-            y0=header["y0"],
-            m0=header["M0"],
-            mbar=header["Mbar"],
-            a=header["a"],
-            delta=header["delta"],
-            rule=AdaptationRule(header["rule"]),
-        )
-    except (ParameterError, ValueError, TypeError) as exc:
-        raise FormatError(f"line 2: bad codec parameters: {exc}") from exc
+        params = codec_from_dict(header)
+    except FormatError as exc:
+        raise FormatError(f"{path}: line 2: {exc}") from exc
     body = lines[2]
     if len(body) != count:
-        raise FormatError(
-            f"line 3: body holds {len(body)} symbols, header says {count}"
-        )
+        raise FormatError(f"{path}: line 3: body holds {len(body)} symbols, header says {count}")
     bits: list[Symbol] = []
     for offset, ch in enumerate(body):
         if ch == "1":
@@ -195,5 +163,5 @@ def read_bitstream(path) -> tuple[CodecParams, list[Symbol]]:
         elif ch == "0":
             bits.append(MINUS)
         else:
-            raise FormatError(f"line 3, offset {offset}: invalid character {ch!r}")
+            raise FormatError(f"{path}: line 3, offset {offset}: invalid character {ch!r}")
     return params, bits

@@ -26,23 +26,23 @@ import sys
 from dataclasses import replace
 from typing import Optional
 
-from .codec import AdaptationRule, CodecParams, decode_bitstream, encode_signal
+from .codec import AdaptationRule, CodecParams, codec_to_dict, decode_bitstream, encode_signal
 from .channel import Erasure, read_bitstream, write_bitstream
 from .errors import AdmTrackError, FormatError
 from .harness import (
     ExperimentConfig,
-    codec_to_dict,
+    SimulationResult,
     consistency_violations,
     load_config,
     read_trace_csv,
     run_compare,
     run_simulation,
     simulation_document,
+    verify_run,
     write_json,
     write_trace_csv,
 )
-from .signals import SampledSignal, estimate_variation_bound, sample
-from .theory import verify_theorem
+from .signals import SampledSignal, sample
 
 __all__ = ["main"]
 
@@ -125,49 +125,41 @@ def _out_path(configured: str, out_dir: Optional[str]) -> str:
     return configured
 
 
+def _simulate(config: ExperimentConfig, out_dir: Optional[str], **extra) -> tuple[SimulationResult, str, str]:
+    """Run the experiment, write its trace CSV and its report JSON (the
+    simulation document plus ``extra``); return (result, trace path, report path)."""
+    result = run_simulation(config)
+    trace_path = _out_path(config.outputs.trace_csv, out_dir)
+    report_path = _out_path(config.outputs.report_json, out_dir)
+    write_trace_csv(trace_path, result.decoder_trace, x_values=result.samples.values)
+    write_json(report_path, {**simulation_document(result), **extra})
+    return result, trace_path, report_path
+
+
 def cmd_simulate(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
-    result = run_simulation(config)
-    trace_path = _out_path(config.outputs.trace_csv, args.out)
-    report_path = _out_path(config.outputs.report_json, args.out)
-    write_trace_csv(trace_path, result.decoder_trace, x_values=result.samples.values)
-    write_json(report_path, simulation_document(result))
+    result, trace_path, report_path = _simulate(config, args.out)
     print(f"{len(result.bits)} bits over {config.horizon}s -> {trace_path}, {report_path}")
     return 0
 
 
 def cmd_verify(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
-    consistency: list[dict] = []
     if args.trace:
         samples = sample(config.signal, config.codec.delta, config.horizon)
         trace = read_trace_csv(args.trace, config.codec)
-        variation = estimate_variation_bound(
-            config.signal,
-            config.codec.delta,
-            (0.0, len(samples) * config.codec.delta),
-            config.oversample_factor,
-        )
-        report = verify_theorem(
-            trace, samples, variation,
-            growth=config.growth, oversample_factor=config.oversample_factor,
-        )
+        report = verify_run(config, trace, samples)
         consistency = consistency_violations(trace)
-        document = {
+        report_path = _out_path(config.outputs.report_json, args.out)
+        write_json(report_path, {
             "codec": codec_to_dict(config.codec),
             "trace": args.trace,
             "verification": report.to_dict(),
             "trace_consistency": consistency,
-        }
+        })
     else:
-        result = run_simulation(config)
-        report = result.report
-        document = simulation_document(result)
-        document["trace_consistency"] = []
-        trace_path = _out_path(config.outputs.trace_csv, args.out)
-        write_trace_csv(trace_path, result.decoder_trace, x_values=result.samples.values)
-    report_path = _out_path(config.outputs.report_json, args.out)
-    write_json(report_path, document)
+        result, _, report_path = _simulate(config, args.out, trace_consistency=[])
+        report, consistency = result.report, []
 
     for claim, reason in report.not_applicable:
         print(f"warning: claim {claim!r} not applicable: {reason}", file=sys.stderr)
@@ -202,7 +194,8 @@ def cmd_compare(args) -> int:
 
 def _read_samples_csv(path) -> list[float]:
     """Read the 'x' column; a zero-byte or header-only file is empty."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig drops the byte-order mark spreadsheet exports start with
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         try:
             if reader.fieldnames is None:

@@ -36,7 +36,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import NumericError, ParameterError, SequencingError, DomainError
+from .errors import DomainError, FormatError, NumericError, ParameterError, SequencingError
+from .signals import restart_index
 
 __all__ = [
     "PLUS",
@@ -49,13 +50,14 @@ __all__ = [
     "Trace",
     "init_state",
     "symbol_for_sample",
-    "step_size_update",
     "encode_step",
     "decode_step",
     "reconstruct",
     "encode_signal",
     "decode_bitstream",
     "check_trace",
+    "codec_to_dict",
+    "codec_from_dict",
 ]
 
 Symbol = int
@@ -117,6 +119,45 @@ class CodecParams:
         rule = AdaptationRule(rule)
         mbar = 0.0 if rule is AdaptationRule.JAYANT else self.mbar
         return replace(self, rule=rule, mbar=mbar)
+
+
+def codec_to_dict(params: CodecParams) -> dict:
+    """The parameters under the key names of config files and ODM/1 headers."""
+    return {
+        "y0": params.y0,
+        "M0": params.m0,
+        "Mbar": params.mbar,
+        "a": params.a,
+        "delta": params.delta,
+        "rule": params.rule.value,
+    }
+
+
+def codec_from_dict(data: dict) -> CodecParams:
+    """Inverse of :func:`codec_to_dict` (``rule`` defaults to modified); a
+    missing key, a non-number or an out-of-range value raises FormatError."""
+    try:
+        return CodecParams(
+            y0=_number(data["y0"], "y0"),
+            m0=_number(data["M0"], "M0"),
+            mbar=_number(data["Mbar"], "Mbar"),
+            a=_number(data["a"], "a"),
+            delta=_number(data["delta"], "delta"),
+            rule=AdaptationRule(data.get("rule", "modified")),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"bad codec parameters {data!r}: {exc}") from exc
+
+
+def _number(value, what: str, kind=float):
+    """A document number converted by ``kind``; bools and non-numbers are
+    FormatErrors."""
+    if isinstance(value, bool):
+        raise FormatError(f"{what} must be a number, got {value!r}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"{what} must be a number, got {value!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -225,13 +266,8 @@ class Trace:
         if not self.k:
             raise DomainError("empty trace")
         delta = self.params.delta
-        n = len(self.k)
-        k = min(max(int(t // delta), 0), n - 1)
-        # float division can land one cell off the grid; nudge back
-        while k > 0 and t < k * delta:
-            k -= 1
-        while k < n - 1 and t > (k + 1) * delta:
-            k += 1
+        # a grid time k*delta is the right end of cell k-1: y[k] bit for bit on a codec trace
+        k = min(max(restart_index(delta, t) - 1, 0), len(self.k) - 1)
         return reconstruct(StepRecord(*(column[k] for column in self._columns())), t, delta)
 
 
@@ -260,32 +296,6 @@ def symbol_for_sample(y_k: float, x_k: float, h_prev: Symbol) -> Symbol:
     if y_k > x_k:
         return MINUS
     return -_check_symbol(h_prev)
-
-
-def step_size_update(
-    m_prev: float,
-    in_switch: bool,
-    prev_in_switch: bool,
-    params: CodecParams,
-) -> float:
-    """Float-level slope rule for one step.
-
-    MODIFIED: grow ``a*m`` when neither this step nor the previous one
-    switched, hold right after a switch, ``max(m/a, mbar)`` on a switch.
-    JAYANT: grow off switches, ``m/a`` on switches.
-
-    This is the per-step contract; the state machine derives the same value
-    through exact power bookkeeping (see module docstring).
-    """
-    if not math.isfinite(m_prev) or m_prev <= 0.0:
-        raise NumericError(f"slope must be positive and finite, got {m_prev!r}")
-    if params.rule is AdaptationRule.JAYANT:
-        return m_prev / params.a if in_switch else params.a * m_prev
-    if in_switch:
-        return max(m_prev / params.a, params.mbar)
-    if prev_in_switch:
-        return m_prev
-    return params.a * m_prev
 
 
 def _check_symbol(h: Symbol) -> Symbol:

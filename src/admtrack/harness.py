@@ -36,8 +36,10 @@ from .codec import (
     CodecParams,
     Symbol,
     Trace,
+    _number,
     check_trace,
-    decode_bitstream,
+    codec_from_dict,
+    codec_to_dict,
     encode_signal,
 )
 from .channel import ChannelModel, Erasure, Noiseless, ReceivedStream, decode_with_erasures, transmit
@@ -52,9 +54,10 @@ from .signals import (
     Sine,
     discontinuities,
     estimate_variation_bound,
+    restart_index,
     sample,
 )
-from .theory import TheoremReport, restart_index, verify_theorem
+from .theory import TheoremReport, verify_theorem
 
 __all__ = [
     "TRACE_COLUMNS",
@@ -67,12 +70,11 @@ __all__ = [
     "signal_from_dict",
     "channel_to_dict",
     "channel_from_dict",
-    "codec_to_dict",
-    "codec_from_dict",
     "config_to_dict",
     "config_from_dict",
     "load_config",
     "run_simulation",
+    "verify_run",
     "run_compare",
     "recovery_steps",
     "write_trace_csv",
@@ -230,33 +232,6 @@ def channel_from_dict(data: dict) -> ChannelModel:
     raise FormatError(f"unknown channel kind {kind!r}")
 
 
-def codec_to_dict(params: CodecParams) -> dict:
-    return {
-        "y0": params.y0,
-        "M0": params.m0,
-        "Mbar": params.mbar,
-        "a": params.a,
-        "delta": params.delta,
-        "rule": params.rule.value,
-    }
-
-
-def codec_from_dict(data: dict) -> CodecParams:
-    try:
-        return CodecParams(
-            y0=_number(data["y0"], "y0"),
-            m0=_number(data["M0"], "M0"),
-            mbar=_number(data["Mbar"], "Mbar"),
-            a=_number(data["a"], "a"),
-            delta=_number(data["delta"], "delta"),
-            rule=AdaptationRule(data.get("rule", "modified")),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ParameterError):
-            raise
-        raise FormatError(f"bad codec parameters {data!r}: {exc}") from exc
-
-
 def config_to_dict(config: ExperimentConfig) -> dict:
     doc = {
         "signal": signal_to_dict(config.signal),
@@ -329,17 +304,6 @@ def _object(value, what: str) -> dict:
     return value
 
 
-def _number(value, what: str, kind=float):
-    """A config number converted by ``kind``; bools and non-numbers are
-    FormatErrors."""
-    if isinstance(value, bool):
-        raise FormatError(f"{what} must be a number, got {value!r}")
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"{what} must be a number, got {value!r}") from exc
-
-
 def load_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -357,23 +321,7 @@ def run_simulation(config: ExperimentConfig) -> SimulationResult:
     samples = sample(config.signal, config.codec.delta, config.horizon)
     bits, encoder_trace = encode_signal(config.codec, samples)
     received = transmit(bits, config.channel)
-    if received.erased_positions():
-        decoder_trace = decode_with_erasures(config.codec, received)
-    else:
-        decoder_trace = decode_bitstream(config.codec, list(received.symbols))
-    variation = estimate_variation_bound(
-        config.signal,
-        config.codec.delta,
-        (0.0, len(samples) * config.codec.delta),
-        config.oversample_factor,
-    )
-    report = verify_theorem(
-        decoder_trace,
-        samples,
-        variation,
-        growth=config.growth,
-        oversample_factor=config.oversample_factor,
-    )
+    decoder_trace = decode_with_erasures(config.codec, received)
     return SimulationResult(
         config=config,
         samples=samples,
@@ -381,7 +329,25 @@ def run_simulation(config: ExperimentConfig) -> SimulationResult:
         received=received,
         encoder_trace=encoder_trace,
         decoder_trace=decoder_trace,
-        report=report,
+        report=verify_run(config, decoder_trace, samples),
+    )
+
+
+def verify_run(config: ExperimentConfig, trace: Trace, samples: SampledSignal) -> TheoremReport:
+    """Certify the signal's variation rate over the sampled span and check
+    every tracking claim on ``trace`` against ``samples``."""
+    variation = estimate_variation_bound(
+        config.signal,
+        config.codec.delta,
+        (0.0, len(samples) * config.codec.delta),
+        config.oversample_factor,
+    )
+    return verify_theorem(
+        trace,
+        samples,
+        variation,
+        growth=config.growth,
+        oversample_factor=config.oversample_factor,
     )
 
 

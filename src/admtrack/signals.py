@@ -43,7 +43,7 @@ __all__ = [
     "GrowthViolation",
     "sample",
     "sample_count",
-    "cell_points",
+    "restart_index",
     "cell_grid",
     "estimate_variation_bound",
     "fit_growth_bound",
@@ -86,7 +86,10 @@ class Sine:
     phase: float = 0.0
 
     def at(self, t: float) -> float:
-        return self.amplitude * math.sin(2.0 * math.pi * self.frequency_hz * t + self.phase)
+        try:
+            return self.amplitude * math.sin(2.0 * math.pi * self.frequency_hz * t + self.phase)
+        except ValueError:  # math.sin(+-inf); at_array gives nan there
+            raise NumericError(f"sine phase overflowed at t={t!r}") from None
 
     def at_array(self, t: np.ndarray) -> np.ndarray:
         return self.amplitude * np.sin(2.0 * math.pi * self.frequency_hz * t + self.phase)
@@ -182,12 +185,18 @@ def sample_count(delta: float, horizon: float) -> int:
     float grid so the count is consistent with the sampler."""
     if delta <= 0.0 or horizon <= 0.0:
         raise ParameterError("delta and horizon must be > 0")
-    n = max(int(math.ceil(horizon / delta)), 1)
-    while n * delta < horizon:
-        n += 1
-    while n > 0 and (n - 1) * delta >= horizon:
-        n -= 1
-    return n
+    return restart_index(delta, horizon)
+
+
+def restart_index(delta: float, time: float) -> int:
+    """Smallest k with k*delta >= time, on the actual float grid."""
+    k = max(int(math.ceil(time / delta)), 0)
+    # float division can land one cell off the grid; nudge back
+    while k * delta < time:
+        k += 1
+    while k > 0 and (k - 1) * delta >= time:
+        k -= 1
+    return k
 
 
 def sample(spec: SignalSpec, delta: float, horizon: float) -> SampledSignal:
@@ -206,11 +215,6 @@ def cell_grid(ks: np.ndarray, delta: float, factor: int) -> np.ndarray:
     grid[:, :factor] = (ks * delta)[:, None] + np.arange(factor) * (delta / factor)
     grid[:, factor] = (ks + 1) * delta
     return grid
-
-
-def cell_points(k: int, delta: float, factor: int) -> list[float]:
-    """The one-cell row of :func:`cell_grid`."""
-    return cell_grid(np.array([k]), delta, factor)[0].tolist()
 
 
 def estimate_variation_bound(

@@ -31,13 +31,12 @@ from typing import Optional
 import numpy as np
 
 from .codec import AdaptationRule, CodecParams, Trace
-from .errors import DivergenceError, DomainError, ParameterError
-from .signals import CHUNK_CELLS, GrowthBound, SampledSignal, VariationBound, cell_grid
+from .errors import DivergenceError, DomainError, NumericError, ParameterError
+from .signals import CHUNK_CELLS, GrowthBound, SampledSignal, VariationBound, cell_grid, restart_index
 
 __all__ = [
     "Violation",
     "TheoremReport",
-    "switch_set",
     "acquisition_bound",
     "settling_window",
     "steady_error_bounds",
@@ -98,12 +97,6 @@ class TheoremReport:
         }
 
 
-def switch_set(trace: Trace) -> set[int]:
-    """Indices k >= 1 where the emitted symbol differs from the previous one."""
-    bits = trace.bits()
-    return {k for k in range(1, len(bits)) if bits[k - 1] * bits[k] < 0}
-
-
 def acquisition_bound(
     params: CodecParams,
     initial_gap: float,
@@ -125,7 +118,12 @@ def acquisition_bound(
         geom += a_pow
         allowance = 0.0
         if growth is not None:
-            allowance = growth.scale * (1.0 + (m * params.delta) ** growth.exponent)
+            try:
+                allowance = growth.scale * (1.0 + (m * params.delta) ** growth.exponent)
+            except OverflowError:
+                allowance = math.inf
+            if allowance == math.inf:  # no finite sum can cover it
+                raise NumericError(f"growth allowance overflowed at m={m}")
         if params.m0 * geom * params.delta >= initial_gap + allowance:
             return m
         a_pow *= params.a
@@ -186,16 +184,6 @@ def _first_settled(trace: Trace, xs, first: int, last: int, sample_bound: float)
         if ms[k] == mbar and abs(xs[k] - ys[k]) <= sample_bound:
             return k
     return None
-
-
-def restart_index(delta: float, time: float) -> int:
-    """Smallest k with k*delta >= time, on the actual float grid."""
-    k = max(int(math.ceil(time / delta)), 0)
-    while k * delta < time:
-        k += 1
-    while k > 0 and (k - 1) * delta >= time:
-        k -= 1
-    return k
 
 
 def _check_grids(trace: Trace, x_samples: SampledSignal) -> None:

@@ -86,10 +86,6 @@ class TestDecodeWithErasures:
         assert held.records[0].h == 1
         assert held.records[0].substituted
 
-    def test_unknown_policy_rejected(self, hand_params):
-        with pytest.raises(ParameterError):
-            decode_with_erasures(hand_params, ReceivedStream(symbols=(1,)), policy="guess")
-
 
 class TestBitstreamFile:
     def test_round_trip(self, tmp_path, hand_params):
@@ -104,6 +100,9 @@ class TestBitstreamFile:
         write_bitstream(path, hand_params, HAND_H)
         lines = path.read_text().splitlines()
         assert lines[0] == "ODM/1"
+        assert lines[1] == (
+            '{"M0": 1.0, "Mbar": 1.0, "a": 2.0, "count": 10, "delta": 1.0, "rule": "modified", "y0": 0.0}'
+        )
         assert lines[2] == HAND_BODY
 
     def test_empty_bitstream(self, tmp_path, hand_params):

@@ -1,5 +1,8 @@
 """Core codec state machine against the hand-executed oracle."""
 
+import math
+import random
+
 import pytest
 
 from admtrack import (
@@ -20,11 +23,30 @@ from admtrack import (
     encode_step,
     init_state,
     reconstruct,
-    step_size_update,
     symbol_for_sample,
 )
 
 from conftest import HAND_H, HAND_M, HAND_SWITCHES, HAND_Y
+
+
+def step_size_update(m_prev, in_switch, prev_in_switch, params):
+    """Oracle: the float-level slope rule for one step.
+
+    MODIFIED: grow ``a*m`` when neither this step nor the previous one
+    switched, hold right after a switch, ``max(m/a, mbar)`` on a switch.
+    JAYANT: grow off switches, ``m/a`` on switches. The state machine derives
+    the same value through exact power bookkeeping, so the two can differ in
+    the last ulp.
+    """
+    if not math.isfinite(m_prev) or m_prev <= 0.0:
+        raise NumericError(f"slope must be positive and finite, got {m_prev!r}")
+    if params.rule is AdaptationRule.JAYANT:
+        return m_prev / params.a if in_switch else params.a * m_prev
+    if in_switch:
+        return max(m_prev / params.a, params.mbar)
+    if prev_in_switch:
+        return m_prev
+    return params.a * m_prev
 
 
 def test_hand_trace_exact(hand_params, hand_samples):
@@ -126,6 +148,19 @@ class TestStepSizeUpdate:
             step_size_update(0.0, False, False, hand_params)
 
 
+@pytest.mark.parametrize("rule", [AdaptationRule.MODIFIED, AdaptationRule.JAYANT])
+def test_state_machine_follows_step_size_update(rule):
+    rng = random.Random(7)
+    for _ in range(50):
+        a = rng.uniform(1.05, 2.0)
+        mbar = rng.uniform(0.01, 1.0) if rule is AdaptationRule.MODIFIED else 0.0
+        params = CodecParams(y0=0.0, m0=rng.uniform(0.01, 4.0), mbar=mbar, a=a, delta=0.1, rule=rule)
+        trace = decode_bitstream(params, [rng.choice((PLUS, MINUS)) for _ in range(60)])
+        for k in range(1, len(trace)):
+            want = step_size_update(trace.m[k - 1], trace.in_switch[k], trace.in_switch[k - 1], params)
+            assert trace.m[k] == pytest.approx(want, rel=1e-12)
+
+
 def test_step0_uses_initial_values(hand_params):
     state, h, record = encode_step(init_state(hand_params), 10.0)
     assert record.y == 0.0 and record.m == 1.0
@@ -212,6 +247,24 @@ def test_estimate_at_matches_reconstruct(hand_params, hand_samples):
     _, trace = encode_signal(hand_params, hand_samples)
     assert trace.estimate_at(3.5) == 11.0
     assert trace.estimate_at(0.0) == 0.0
+
+
+@pytest.mark.parametrize("delta", [1.0, 0.04, 0.1, 0.007])
+def test_estimate_at_is_the_estimate_on_every_grid_time(delta):
+    # grid times k*delta are not exact multiples in floats; whichever cell
+    # holds t, the value at a grid time is y[k] bit for bit
+    params = CodecParams(y0=5.0, m0=0.08, mbar=0.08, a=1.5, delta=delta)
+    rng = random.Random(3)
+    trace = decode_bitstream(params, [rng.choice((PLUS, MINUS)) for _ in range(300)])
+    for k in range(len(trace)):
+        assert trace.estimate_at(k * delta) == trace.y[k]
+        t = (k + rng.random()) * delta
+        if k * delta <= t <= (k + 1) * delta:
+            assert trace.estimate_at(t) == reconstruct(trace.records[k], t, delta)
+    with pytest.raises(DomainError):
+        trace.estimate_at(-delta)
+    with pytest.raises(DomainError):
+        trace.estimate_at((len(trace) + 1) * delta)
 
 
 class TestEncodeSignal:

@@ -37,6 +37,8 @@ CONFIGS = ROOT / "configs"
 
 JUMP_SIGNAL = Piecewise(segments=((0.0, Constant(2.0)), (1.0, Ramp(slope=0.03, intercept=-1.0))))
 PAPER_CODEC = CodecParams(y0=5.0, m0=0.08, mbar=0.08, a=1.5, delta=0.04)
+# an ODM/1 header without its count: the hand trace's parameters
+HEADER = '{"M0": 1.0, "Mbar": 1.0, "a": 2.0, "delta": 1.0, "rule": "modified", "y0": 0.0}'
 
 
 def jump_config(**overrides):
@@ -108,6 +110,38 @@ def test_bad_config_value_exits_2(key, value, command, tmp_path, capsys):
     path.write_text(json.dumps(_bad_config(key, value)), encoding="utf-8")
     assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+OVERFLOWING_CONFIG_VALUES = {
+    # 2*pi*f*t overflows to inf, where math.sin has no value
+    "sine_frequency": ("signal", {"kind": "piecewise", "segments": [
+        {"start": 0.0, "signal": {"kind": "constant", "level": 2.0}},
+        {"start": 1.0, "signal": {"kind": "sine", "amplitude": 1.0, "frequency_hz": 1e308}},
+    ]}),
+    # (m*delta)**exponent overflows once m*delta > 1 in the acquisition bound
+    "growth_exponent": ("growth", {"scale": 1e6, "exponent": 1e308}),
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify", "compare"])
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_CONFIG_VALUES))
+def test_overflowing_config_value_exits_2(case, command, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_bad_config(*OVERFLOWING_CONFIG_VALUES[case])), encoding="utf-8")
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if case == "growth_exponent" and command == "compare":
+        assert code == 0  # compare checks no claim, so it never reads the growth section
+    else:
+        assert code == 2
+        assert err.startswith("error: ") and "overflowed" in err
+
+
+def test_codec_section_accepts_numeric_strings_and_rejects_out_of_range():
+    document = _bad_config("codec.delta", "0.04")
+    assert config_from_dict(document).codec.delta == 0.04
+    with pytest.raises(FormatError, match="adaptation factor"):
+        config_from_dict(_bad_config("codec.a", 9.0))
 
 
 @pytest.mark.parametrize("name", ["y0", "m0", "mbar", "a", "delta"])
@@ -311,6 +345,16 @@ class TestCliVerify:
                      "--trace", str(tmp_path / "sine_trace.csv"), "--out", str(tmp_path)])
         assert code == 0
 
+    @pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.json")))
+    def test_verify_and_verify_trace_agree(self, tmp_path, config):
+        # both paths certify and verify through harness.verify_run
+        run_dir, file_dir = tmp_path / "run", tmp_path / "file"
+        _run_in(run_dir, config, "verify")
+        trace_csv = next(run_dir.glob("*.csv"))
+        main(["verify", "--config", str(CONFIGS / config), "--trace", str(trace_csv), "--out", str(file_dir)])
+        run_report, file_report = (json.loads(next(d.glob("*.json")).read_text()) for d in (run_dir, file_dir))
+        assert file_report["verification"] == run_report["verification"]
+
     @pytest.mark.parametrize(
         "row",
         [
@@ -392,6 +436,46 @@ class TestCliEncodeDecode:
         assert main(["decode", str(odm)]) == 2
         err = capsys.readouterr().err
         assert str(odm) in err and "ASCII" in err and "Traceback" not in err
+
+    def test_samples_csv_with_byte_order_mark(self, tmp_path, capsys):
+        samples_path = tmp_path / "bom.csv"
+        samples_path.write_bytes(b"\xef\xbb\xbfx\n" + b"10.0\n" * 10)
+        assert main(["encode", str(samples_path), "--delta", "1", "--y0", "0",
+                     "--m0", "1", "--mbar", "1", "--a", "2"]) == 0
+        assert (tmp_path / "bom.odm").read_text().splitlines()[2] == HAND_BODY
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("NOPE\n{}\n\n", "line 1: bad magic"),
+            ("ODM/1\n", "file truncated"),
+            ("ODM/1\nnot json\n\n", "line 2: bad header JSON"),
+            ('ODM/1\n{"y0": 0.0, "count": 0}\n\n', "line 2: header must carry keys"),
+            (f'ODM/1\n{HEADER[:-1]}, "count": true}}\n1\n', "line 2: count must be"),
+            (f'ODM/1\n{HEADER[:-1]}, "count": -1}}\n\n', "line 2: count must be"),
+            (f'ODM/1\n{HEADER[:-1].replace("2.0", "9.0")}, "count": 0}}\n\n', "line 2: bad codec parameters"),
+            (f'ODM/1\n{HEADER[:-1]}, "count": 2}}\n1\n', "line 3: body holds 1 symbols"),
+            (f'ODM/1\n{HEADER[:-1]}, "count": 1}}\nx\n', "line 3, offset 0: invalid character"),
+        ],
+        ids=["magic", "truncated", "json", "keys", "count_bool", "count_negative", "params", "length", "char"],
+    )
+    def test_bad_bitstream_error_names_the_file(self, tmp_path, capsys, text, message):
+        odm = tmp_path / "bad.odm"
+        odm.write_text(text, encoding="ascii")
+        assert main(["decode", str(odm)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {odm}: {message}")
+        assert "Traceback" not in err
+
+    def test_bitstream_header_numbers_read_as_in_configs(self, tmp_path, capsys):
+        # the header goes through codec_from_dict, like a config's codec section:
+        # a numeric string is a number, an integer beyond float range is an error
+        odm = tmp_path / "strings.odm"
+        odm.write_text(f'ODM/1\n{HEADER[:-1].replace("0.0", chr(34) + "0.0" + chr(34))}, "count": 1}}\n1\n')
+        assert main(["decode", str(odm)]) == 0
+        odm.write_text(f'ODM/1\n{HEADER[:-1].replace("0.0", "1" + "0" * 400)}, "count": 1}}\n1\n')
+        assert main(["decode", str(odm)]) == 2
+        assert "y0 must be a number" in capsys.readouterr().err
 
     def test_non_utf8_samples_csv_exits_2(self, tmp_path, capsys):
         samples_path = tmp_path / "bad.csv"

@@ -62,7 +62,7 @@ from admtrack import (
     write_trace_csv,
 )
 from admtrack.harness import CHUNK_ROWS, TRACE_COLUMNS
-from admtrack.signals import CHUNK_CELLS, cell_grid, cell_points
+from admtrack.signals import CHUNK_CELLS, cell_grid
 
 
 # --- scalar oracles -------------------------------------------------------
@@ -237,7 +237,6 @@ def test_cell_grid_matches_scalar_cell_points(delta, factor):
     assert grid.shape == (len(ks), factor + 1)
     for row, k in zip(grid, ks):
         assert_bitwise_equal(row, oracle_cell_points(k, delta, factor))
-        assert_bitwise_equal(cell_points(k, delta, factor), oracle_cell_points(k, delta, factor))
 
 
 # --- variation certificate --------------------------------------------------

@@ -1,6 +1,7 @@
 """Signal generators, grid sampling, and the empirical regularity bounds."""
 
 import math
+import random
 
 import pytest
 
@@ -45,6 +46,22 @@ class TestSample:
         assert sample_count(0.1, 0.3) == 3
         assert sample_count(0.1, 1.0) == 10
         assert sample_count(1.0, 0.5) == 1
+
+    def test_count_matches_the_counting_loop(self):
+        # oracle: the count by its definition, walked from a float-division guess
+        def oracle(delta, horizon):
+            n = max(int(math.ceil(horizon / delta)), 1)
+            while n * delta < horizon:
+                n += 1
+            while n > 0 and (n - 1) * delta >= horizon:
+                n -= 1
+            return n
+
+        rng = random.Random(5)
+        for _ in range(2000):
+            delta = rng.choice((0.1, 0.04, 0.02, 0.01, 0.007, 1e-3, 1.0, 3.0))
+            horizon = rng.choice((rng.randint(1, 500) * delta, rng.uniform(1e-9, 50.0)))
+            assert sample_count(delta, horizon) == oracle(delta, horizon)
 
     def test_invalid_grid(self):
         with pytest.raises(ParameterError):

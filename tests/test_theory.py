@@ -11,6 +11,7 @@ from admtrack import (
     DivergenceError,
     DomainError,
     GrowthBound,
+    NumericError,
     ParameterError,
     Piecewise,
     Ramp,
@@ -25,7 +26,6 @@ from admtrack import (
     sample,
     settling_window,
     steady_error_bounds,
-    switch_set,
     verify_theorem,
 )
 
@@ -35,23 +35,24 @@ from conftest import HAND_SWITCHES
 class TestSwitchSet:
     def test_hand_trace(self, hand_params, hand_samples):
         _, trace = encode_signal(hand_params, hand_samples)
-        assert switch_set(trace) == HAND_SWITCHES
+        assert set(trace.switch_indices()) == HAND_SWITCHES
 
     def test_matches_recorded_flags(self, hand_params, hand_samples):
         _, trace = encode_signal(hand_params, hand_samples)
-        assert switch_set(trace) == set(trace.switch_indices())
+        bits = trace.bits()
+        assert set(trace.switch_indices()) == {k for k in range(1, len(bits)) if bits[k - 1] * bits[k] < 0}
 
     def test_all_equal_bits(self, hand_params):
         trace = decode_bitstream(hand_params, [1] * 8)
-        assert switch_set(trace) == set()
+        assert set(trace.switch_indices()) == set()
 
     def test_alternating_bits(self, hand_params):
         trace = decode_bitstream(hand_params, [1, -1] * 4)
-        assert switch_set(trace) == {1, 2, 3, 4, 5, 6, 7}
+        assert set(trace.switch_indices()) == {1, 2, 3, 4, 5, 6, 7}
 
     def test_never_contains_zero(self, hand_params):
         trace = decode_bitstream(hand_params, [-1, 1])
-        assert 0 not in switch_set(trace)
+        assert 0 not in trace.switch_indices()
 
 
 class TestAcquisitionBound:
@@ -78,6 +79,16 @@ class TestAcquisitionBound:
     def test_cap_guards_the_scan(self, hand_params):
         with pytest.raises(DivergenceError):
             acquisition_bound(hand_params, 1e9, None, cap=5)
+
+    @pytest.mark.parametrize(
+        "growth",
+        [GrowthBound(scale=1.0, exponent=1e308), GrowthBound(scale=1e308, exponent=1.0)],
+        ids=["power_overflows", "product_overflows"],
+    )
+    def test_infinite_allowance_is_a_numeric_error(self, hand_params, growth):
+        # the power raises OverflowError at m = 2; the product rounds to inf at m = 1
+        with pytest.raises(NumericError, match="growth allowance overflowed"):
+            acquisition_bound(hand_params, 10.0, growth)
 
 
 class TestSettlingWindow:
@@ -240,6 +251,11 @@ class TestRestartAfterJump:
         assert restart_index(0.04, 1.0) == 25
         assert restart_index(0.04, 1.001) == 26
         assert restart_index(0.04, 0.0) == 0
+
+    def test_restart_index_has_one_home(self):
+        from admtrack import signals, theory
+
+        assert theory.restart_index is signals.restart_index is restart_index
 
     def test_suffix_verification_clean(self):
         spec = Piecewise(segments=((0.0, Constant(2.0)), (1.0, Ramp(slope=0.03, intercept=-1.0))))

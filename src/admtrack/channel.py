@@ -65,6 +65,8 @@ class Erasure:
     def __post_init__(self) -> None:
         if not 0.0 <= self.p < 1.0:
             raise ParameterError(f"erasure probability must be in [0, 1), got {self.p}")
+        if isinstance(self.seed, bool) or not (isinstance(self.seed, int) and self.seed >= 0):
+            raise ParameterError(f"erasure seed must be a non-negative integer, got {self.seed!r}")
 
 
 ChannelModel = Union[Noiseless, Erasure]

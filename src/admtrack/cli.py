@@ -155,7 +155,7 @@ def cmd_verify(args) -> int:
             "codec": codec_to_dict(config.codec),
             "trace": args.trace,
             "verification": report.to_dict(),
-            "trace_consistency": consistency,
+            "trace_consistency": [v.to_dict() for v in consistency],
         })
     else:
         result, _, report_path = _simulate(config, args.out, trace_consistency=[])
@@ -163,13 +163,11 @@ def cmd_verify(args) -> int:
 
     for claim, reason in report.not_applicable:
         print(f"warning: claim {claim!r} not applicable: {reason}", file=sys.stderr)
-    total = len(report.violations) + len(consistency)
-    if total:
-        for violation in report.violations:
+    violations = report.violations + consistency
+    if violations:
+        for violation in violations:
             print(f"violation: {violation.claim} at step {violation.step}: {violation.detail}")
-        for problem in consistency:
-            print(f"violation: trace_consistency at step {problem['step']}: {problem['detail']}")
-        print(f"{total} violation(s) -> {report_path}")
+        print(f"{len(violations)} violation(s) -> {report_path}")
         return 1
     print(f"all applicable claims hold -> {report_path}")
     return 0

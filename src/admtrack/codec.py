@@ -29,6 +29,7 @@ pair).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import compress, repeat
@@ -96,8 +97,9 @@ class CodecParams:
     def __post_init__(self) -> None:
         for name in ("y0", "m0", "mbar", "a", "delta"):
             value = getattr(self, name)
+            # false for nan, +-inf and ints beyond float range (isfinite raises on those)
             if isinstance(value, bool) or not (
-                isinstance(value, (int, float)) and math.isfinite(value)
+                isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
             ):
                 raise ParameterError(f"{name} must be a finite number, got {value!r}")
             object.__setattr__(self, name, float(value))

@@ -57,7 +57,7 @@ from .signals import (
     restart_index,
     sample,
 )
-from .theory import TheoremReport, verify_theorem
+from .theory import TheoremReport, Violation, verify_theorem
 
 __all__ = [
     "TRACE_COLUMNS",
@@ -66,11 +66,9 @@ __all__ = [
     "ExperimentOutputs",
     "ExperimentConfig",
     "SimulationResult",
-    "signal_to_dict",
     "signal_from_dict",
     "channel_to_dict",
     "channel_from_dict",
-    "config_to_dict",
     "config_from_dict",
     "load_config",
     "run_simulation",
@@ -166,29 +164,6 @@ class SimulationResult:
 # --- JSON (de)serialization ------------------------------------------------
 
 
-def signal_to_dict(spec: SignalSpec) -> dict:
-    if isinstance(spec, Constant):
-        return {"kind": "constant", "level": spec.level}
-    if isinstance(spec, Ramp):
-        return {"kind": "ramp", "slope": spec.slope, "intercept": spec.intercept}
-    if isinstance(spec, Sine):
-        return {
-            "kind": "sine",
-            "amplitude": spec.amplitude,
-            "frequency_hz": spec.frequency_hz,
-            "phase": spec.phase,
-        }
-    if isinstance(spec, Piecewise):
-        return {
-            "kind": "piecewise",
-            "segments": [
-                {"start": start, "signal": signal_to_dict(child)}
-                for start, child in spec.segments
-            ],
-        }
-    raise FormatError(f"unknown signal type {type(spec).__name__}")
-
-
 def signal_from_dict(data: dict) -> SignalSpec:
     try:
         kind = data["kind"]
@@ -226,32 +201,10 @@ def channel_from_dict(data: dict) -> ChannelModel:
         return Noiseless()
     if kind == "erasure":
         try:
-            return Erasure(p=float(data["p"]), seed=int(data.get("seed", 0)))
+            return Erasure(p=float(data["p"]), seed=_integer(data.get("seed", 0), "channel.seed"))
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad erasure channel {data!r}: {exc}") from exc
     raise FormatError(f"unknown channel kind {kind!r}")
-
-
-def config_to_dict(config: ExperimentConfig) -> dict:
-    doc = {
-        "signal": signal_to_dict(config.signal),
-        "codec": codec_to_dict(config.codec),
-        "horizon": config.horizon,
-        "channel": channel_to_dict(config.channel),
-        "oversample_factor": config.oversample_factor,
-        "outputs": {
-            "trace_csv": config.outputs.trace_csv,
-            "report_json": config.outputs.report_json,
-        },
-    }
-    if config.growth is not None:
-        doc["growth"] = {"scale": config.growth.scale, "exponent": config.growth.exponent}
-    if config.comparison is not None:
-        doc["comparison"] = {
-            "baseline": config.comparison.baseline.value,
-            "proximity_band_multiplier": config.comparison.proximity_band_multiplier,
-        }
-    return doc
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -291,7 +244,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         codec=codec_from_dict(data["codec"]),
         horizon=_number(data["horizon"], "horizon"),
         channel=channel_from_dict(data.get("channel", {"kind": "noiseless"})),
-        oversample_factor=_number(data.get("oversample_factor", 32), "oversample_factor", int),
+        oversample_factor=_integer(data.get("oversample_factor", 32), "oversample_factor"),
         growth=growth,
         outputs=ExperimentOutputs(**names),
         comparison=comparison,
@@ -302,6 +255,13 @@ def _object(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise FormatError(f"{what} must be a JSON object, got {value!r}")
     return value
+
+
+def _integer(value, what: str) -> int:
+    """A document integer; a non-integral number is a FormatError, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise FormatError(f"{what} must be an integer, got {value!r}")
+    return _number(value, what, int)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -351,20 +311,16 @@ def verify_run(config: ExperimentConfig, trace: Trace, samples: SampledSignal) -
     )
 
 
-def recovery_steps(
-    errors: list[float],
-    start: int,
-    band: float,
-    persistence: int = 3,
-) -> Optional[int]:
-    """Steps past ``start`` until ``persistence`` consecutive in-band errors.
+# 3 consecutive in-band steps are required so a transient crossing of the
+# band does not count as recovery (3 matches the maximum steady-state switch gap)
+RECOVERY_PERSISTENCE = 3
 
-    3 consecutive steps are required so a transient crossing of the band does
-    not count as recovery (3 matches the maximum steady-state switch gap).
-    """
+
+def recovery_steps(errors: list[float], start: int, band: float) -> Optional[int]:
+    """Steps past ``start`` until RECOVERY_PERSISTENCE consecutive in-band errors."""
     n = len(errors)
-    for r in range(max(n - start - persistence + 1, 0)):
-        if all(errors[start + r + j] <= band for j in range(persistence)):
+    for r in range(max(n - start - RECOVERY_PERSISTENCE + 1, 0)):
+        if all(errors[start + r + j] <= band for j in range(RECOVERY_PERSISTENCE)):
             return r
     return None
 
@@ -607,6 +563,6 @@ def simulation_document(result: SimulationResult) -> dict:
     }
 
 
-def consistency_violations(trace: Trace) -> list[dict]:
-    """check_trace problems in report-JSON shape."""
-    return [{"claim": "trace_consistency", "step": k, "detail": msg} for k, msg in check_trace(trace)]
+def consistency_violations(trace: Trace) -> list[Violation]:
+    """check_trace problems as ``trace_consistency`` violations."""
+    return [Violation("trace_consistency", k, msg) for k, msg in check_trace(trace)]

@@ -89,10 +89,14 @@ class Sine:
         try:
             return self.amplitude * math.sin(2.0 * math.pi * self.frequency_hz * t + self.phase)
         except ValueError:  # math.sin(+-inf); at_array gives nan there
-            raise NumericError(f"sine phase overflowed at t={t!r}") from None
+            raise _phase_overflow(t) from None
 
     def at_array(self, t: np.ndarray) -> np.ndarray:
         return self.amplitude * np.sin(2.0 * math.pi * self.frequency_hz * t + self.phase)
+
+
+def _phase_overflow(t: float) -> NumericError:
+    return NumericError(f"sine phase overflowed at t={t!r}")
 
 
 @dataclass(frozen=True)
@@ -117,7 +121,10 @@ class Piecewise:
     def at(self, t: float) -> float:
         i = max(bisect_right(self._starts, t) - 1, 0)
         start, spec = self.segments[i]
-        return spec.at(t - start)
+        try:
+            return spec.at(t - start)
+        except NumericError:  # name the caller's time, not the segment's local one
+            raise _phase_overflow(t) from None
 
     def at_array(self, t: np.ndarray) -> np.ndarray:
         index = np.maximum(np.searchsorted(self._starts, t, side="right") - 1, 0)

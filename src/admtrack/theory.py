@@ -296,7 +296,9 @@ def _check_settling_and_steady(report, trace, x_samples, rate, switches, factor)
         report.not_applicable.append(("steady_state", reason))
         return
 
-    report.eta = detect_settling(trace, x_samples, rate, report.start_index)
+    report.eta = _first_settled(
+        trace, x_samples.values, report.start_index, n - 1, report.sample_error_bound
+    )
 
     # settling: a floored, in-band step must exist within the window past tau
     if report.tau is None:
@@ -331,11 +333,9 @@ def _check_settling_and_steady(report, trace, x_samples, rate, switches, factor)
 
 
 def _check_steady(report, trace, x_samples, switches, factor) -> None:
-    """The steady-state claims from eta on. Each claim's columns are scanned
-    with numpy first; its per-step loop runs only when the scan finds a
-    violation, and alone builds the violation list (in step order)."""
+    """The steady-state claims from eta on, each one numpy mask over the
+    columns; violations are built from the flagged steps, in step order."""
     params = trace.params
-    delta = params.delta
     n = report.n_steps
     eta = report.eta
     xs = x_samples.values
@@ -343,17 +343,26 @@ def _check_steady(report, trace, x_samples, switches, factor) -> None:
     lifted = params.a * params.mbar  # the only other steady slope value
 
     report.checked += ["step_size_set", "switch_floor", "sample_error"]
+    bound = report.sample_error_bound
     m = np.array(trace.m[eta:], dtype=float)
     off_floor = m != floor
-    if (
-        (off_floor & (m != lifted)).any()
-        or (off_floor & np.array(trace.in_switch[eta:], dtype=bool)).any()
-        or (
-            np.abs(np.array(xs[eta:], dtype=float) - np.array(trace.y[eta:], dtype=float))
-            > report.sample_error_bound
-        ).any()
-    ):
-        _steady_slope_and_error_rows(report, trace, xs, floor, lifted)
+    bad_set = off_floor & (m != lifted)
+    bad_floor = off_floor & np.array(trace.in_switch[eta:], dtype=bool)
+    bad_error = np.abs(np.array(xs[eta:], dtype=float) - np.array(trace.y[eta:], dtype=float)) > bound
+    # details format the list floats: numpy 2 scalars repr differently
+    for i in np.flatnonzero(bad_set | bad_floor | bad_error).tolist():
+        k = eta + i
+        if bad_set[i]:
+            report.violations.append(
+                Violation("step_size_set", k, f"slope {trace.m[k]!r} not in {{mbar, a*mbar}}")
+            )
+        if bad_floor[i]:
+            report.violations.append(
+                Violation("switch_floor", k, f"switch slope {trace.m[k]!r} != mbar {floor!r}")
+            )
+        if bad_error[i]:
+            err = abs(xs[k] - trace.y[k])
+            report.violations.append(Violation("sample_error", k, f"|x - y| = {err} > {bound}"))
 
     if x_samples.spec is None:
         report.not_applicable.append(
@@ -361,66 +370,25 @@ def _check_steady(report, trace, x_samples, switches, factor) -> None:
         )
     else:
         report.checked.append("interval_error")
-        _check_interval_error(report, trace, x_samples.spec, delta, factor)
+        _check_interval_error(report, trace, x_samples.spec, params.delta, factor)
 
     report.checked.append("switch_gap")
-    post = np.array(switches, dtype=np.int64)
-    post = post[post >= eta]
-    if post.size and ((np.diff(post) > 3).any() or post[-1] + 3 <= n - 1):
-        _switch_gap_rows(report, post.tolist(), n)
+    post = [k for k in switches if k >= eta]
+    for i in np.flatnonzero(np.diff(post) > 3).tolist():
+        s, nxt = post[i], post[i + 1]
+        report.violations.append(Violation("switch_gap", s, f"next switch only at {nxt} (> {s} + 3)"))
+    if post and post[-1] + 3 <= n - 1:
+        s = post[-1]
+        report.violations.append(Violation("switch_gap", s, f"no further switch in ({s}, {s + 3}]"))
 
     report.checked.append("symbol_run")
-    # the run count starts at eta + 1: four equal symbols there are three
-    # equal neighbouring pairs in a row
+    # runs are counted from eta + 1; a run reaches four symbols where three
+    # equal neighbouring pairs in a row follow an unequal pair (or eta + 1)
     hs = np.array(trace.h[eta + 1:])
-    same = hs[1:] == hs[:-1]
-    if (same[:-2] & same[1:-1] & same[2:]).any():
-        _symbol_run_rows(report, trace.h, eta, n)
-
-
-def _steady_slope_and_error_rows(report, trace, xs, floor, lifted) -> None:
-    eta = report.eta
-    rows = zip(trace.m[eta:], trace.in_switch[eta:], trace.y[eta:], xs[eta:])
-    for k, (m, in_switch, y, x) in enumerate(rows, start=eta):
-        if m != floor and m != lifted:
-            report.violations.append(
-                Violation("step_size_set", k, f"slope {m!r} not in {{mbar, a*mbar}}")
-            )
-        if in_switch and m != floor:
-            report.violations.append(
-                Violation("switch_floor", k, f"switch slope {m!r} != mbar {floor!r}")
-            )
-        err = abs(x - y)
-        if err > report.sample_error_bound:
-            report.violations.append(
-                Violation(
-                    "sample_error", k, f"|x - y| = {err} > {report.sample_error_bound}"
-                )
-            )
-
-
-def _switch_gap_rows(report, post, n) -> None:
-    for i, s in enumerate(post):
-        nxt = post[i + 1] if i + 1 < len(post) else None
-        if nxt is not None:
-            if nxt - s > 3:
-                report.violations.append(
-                    Violation("switch_gap", s, f"next switch only at {nxt} (> {s} + 3)")
-                )
-        elif s + 3 <= n - 1:
-            report.violations.append(
-                Violation("switch_gap", s, f"no further switch in ({s}, {s + 3}]")
-            )
-
-
-def _symbol_run_rows(report, hs, eta, n) -> None:
-    run = 1
-    for k in range(eta + 2, n):
-        run = run + 1 if hs[k] == hs[k - 1] else 1
-        if run == 4:
-            report.violations.append(
-                Violation("symbol_run", k, "four equal symbols in a row")
-            )
+    same = np.concatenate(([False], hs[1:] == hs[:-1]))
+    fourth = same[1:-2] & same[2:-1] & same[3:] & ~same[:-3]
+    for i in np.flatnonzero(fourth).tolist():
+        report.violations.append(Violation("symbol_run", eta + 4 + i, "four equal symbols in a row"))
 
 
 def _check_interval_error(report, trace, spec, delta, factor) -> None:

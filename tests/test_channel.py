@@ -52,6 +52,11 @@ class TestTransmit:
         with pytest.raises(ParameterError):
             Erasure(p=1.0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "7", None])
+    def test_seed_must_be_a_non_negative_int(self, seed):
+        with pytest.raises(ParameterError, match="seed"):
+            Erasure(p=0.1, seed=seed)
+
 
 class TestDecodeWithErasures:
     def test_erasure_free_matches_plain_decode(self, hand_params):

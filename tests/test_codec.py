@@ -89,6 +89,10 @@ class TestInitState:
             dict(m0=-2.0),
             dict(mbar=-0.1),
             dict(y0=float("nan")),
+            dict(y0=float("inf")),
+            dict(y0=10**400),  # an int beyond float range, where math.isfinite raises
+            dict(m0=-10**400),
+            dict(delta=10**400),
             dict(rule=AdaptationRule.JAYANT),  # keeps mbar=1, which JAYANT forbids
         ],
     )

@@ -28,7 +28,7 @@ from admtrack import (
     write_trace_csv,
 )
 from admtrack.cli import _build_parser, main
-from admtrack.harness import config_from_dict, config_to_dict
+from admtrack.harness import config_from_dict
 
 from conftest import HAND_BODY
 
@@ -49,10 +49,6 @@ def jump_config(**overrides):
 
 
 class TestConfig:
-    def test_round_trip_through_dict(self):
-        config = load_config(CONFIGS / "paper_delta004.json")
-        assert config_from_dict(config_to_dict(config)) == config
-
     def test_all_shipped_configs_load(self):
         for path in sorted(CONFIGS.glob("*.json")):
             assert load_config(path).horizon > 0
@@ -87,8 +83,8 @@ BAD_CONFIG_VALUES = [
 ]
 
 
-def _bad_config(key, value):
-    document = json.loads((CONFIGS / "compare_jump.json").read_text(encoding="utf-8"))
+def _bad_config(key, value, name="compare_jump.json"):
+    document = json.loads((CONFIGS / name).read_text(encoding="utf-8"))
     section, _, field = key.partition(".")
     if field:
         document[section][field] = value
@@ -113,28 +109,52 @@ def test_bad_config_value_exits_2(key, value, command, tmp_path, capsys):
 
 
 OVERFLOWING_CONFIG_VALUES = {
-    # 2*pi*f*t overflows to inf, where math.sin has no value
+    # 2*pi*f*t overflows to inf, where math.sin has no value; the error names
+    # the absolute time, not the time on the segment's own clock (0.04...)
     "sine_frequency": ("signal", {"kind": "piecewise", "segments": [
         {"start": 0.0, "signal": {"kind": "constant", "level": 2.0}},
         {"start": 1.0, "signal": {"kind": "sine", "amplitude": 1.0, "frequency_hz": 1e308}},
-    ]}),
+    ]}, "sine phase overflowed at t=1.04\n"),
     # (m*delta)**exponent overflows once m*delta > 1 in the acquisition bound
-    "growth_exponent": ("growth", {"scale": 1e6, "exponent": 1e308}),
+    "growth_exponent": ("growth", {"scale": 1e6, "exponent": 1e308}, "overflowed"),
 }
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify", "compare"])
 @pytest.mark.parametrize("case", sorted(OVERFLOWING_CONFIG_VALUES))
 def test_overflowing_config_value_exits_2(case, command, tmp_path, capsys):
+    key, value, message = OVERFLOWING_CONFIG_VALUES[case]
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(_bad_config(*OVERFLOWING_CONFIG_VALUES[case])), encoding="utf-8")
+    path.write_text(json.dumps(_bad_config(key, value)), encoding="utf-8")
     code = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     if case == "growth_exponent" and command == "compare":
         assert code == 0  # compare checks no claim, so it never reads the growth section
     else:
         assert code == 2
-        assert err.startswith("error: ") and "overflowed" in err
+        assert err.startswith("error: ") and message in err
+
+
+# each was accepted before: a negative seed ended in numpy's raw ValueError
+# (exit 1), a non-integral number was silently truncated
+BAD_INTEGER_VALUES = [
+    ("channel.seed", -1, []),
+    ("channel.seed", 1.5, []),
+    ("channel.seed", True, []),
+    ("oversample_factor", 2.5, []),
+    ("channel.seed", 7, ["--seed", "-1"]),
+]
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("key,value,flags", BAD_INTEGER_VALUES)
+def test_bad_seed_or_integer_field_exits_2(key, value, flags, command, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_bad_config(key, value, "erasure_jump.json")), encoding="utf-8")
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out"), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert key.rpartition(".")[2] in err
 
 
 def test_codec_section_accepts_numeric_strings_and_rejects_out_of_range():
@@ -331,13 +351,30 @@ class TestCliVerify:
         trace_path = tmp_path / "sine_trace.csv"
         rows = trace_path.read_text().splitlines()
         cells = rows[200].split(",")
-        cells[3] = repr(float(cells[3]) + 0.5)  # forge the estimate
+        x, y = float(cells[2]), float(cells[3])
+        forged = y + 0.5
+        cells[3] = repr(forged)  # forge the estimate at step 199
         rows[200] = ",".join(cells)
         trace_path.write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
         code = main(["verify", "--config", str(CONFIGS / "sine_steady.json"),
                      "--trace", str(trace_path), "--out", str(tmp_path)])
         assert code == 1
-        assert "trace_consistency" in capsys.readouterr().out
+        report_path = tmp_path / "sine_report.json"
+        report = json.loads(report_path.read_text())
+        bound = report["verification"]["sample_error_bound"]
+        consistency = f"y={forged!r} != recursion value {y!r}"
+        # verifier violations first, then the consistency problems, one shape
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == f"violation: sample_error at step 199: |x - y| = {abs(x - forged)} > {bound}"
+        assert out[1].startswith("violation: interval_error at step 199: ")
+        assert out[2:] == [
+            f"violation: trace_consistency at step 199: {consistency}",
+            f"3 violation(s) -> {report_path}",
+        ]
+        assert report["trace_consistency"] == [
+            {"claim": "trace_consistency", "step": 199, "detail": consistency}
+        ]
 
     def test_clean_trace_passes_file_verification(self, tmp_path):
         assert _run_in(tmp_path, "sine_steady.json", "simulate") == 0

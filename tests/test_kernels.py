@@ -1176,24 +1176,16 @@ def test_randomly_broken_steady_state_matches_oracle(monkeypatch, seed):
     assert report.to_dict() == steady_verify(monkeypatch, True, *args, **kwargs).to_dict()
 
 
-def test_clean_steady_state_skips_the_loops(monkeypatch):
-    def loop(*args):
-        raise AssertionError("a steady-state loop ran without a violation")
-
-    for name in ("_steady_slope_and_error_rows", "_switch_gap_rows", "_symbol_run_rows"):
-        monkeypatch.setattr(theory, name, loop)
-    trace, samples, variation = steady_run()
-    report = verify_theorem(trace, samples, variation)
-    assert report.ok and len(report.checked) == 7
-
-
 def test_steady_scans_stop_where_the_loops_stop(monkeypatch):
     """The symbol run is counted from eta + 1, switches from eta on, a gap
     of 4 is too long and the last switch may sit 3 steps before the end; the
-    scans must find exactly what the loops find."""
+    scans must find exactly what the oracle's loops find, one step either
+    side of each edge."""
     trace, samples, variation = steady_run()
+    clean = verify_theorem(trace, samples, variation)
+    assert clean.ok and len(clean.checked) == 7
     samples = SampledSignal(samples.delta, samples.values)
-    eta = verify_theorem(trace, samples, variation).eta
+    eta = clean.eta
     n = len(trace)
 
     def edited(h_at=None, last_switch=None, gap_at=None):
@@ -1218,14 +1210,8 @@ def test_steady_scans_stop_where_the_loops_stop(monkeypatch):
     assert [v.step for v in verify_both(edited(last_switch=n - 4)).violations] == [n - 4]
     assert [v.step for v in verify_both(edited(gap_at=eta)).violations] == [eta]
     assert [v.step for v in verify_both(edited(gap_at=400)).violations] == [400]
-
-    def loop(*args):
-        raise AssertionError("a steady-state loop ran without a violation")
-
-    monkeypatch.setattr(theory, "_switch_gap_rows", loop)
-    monkeypatch.setattr(theory, "_symbol_run_rows", loop)
-    assert verify_theorem(edited(h_at=eta), samples, variation).ok
-    assert verify_theorem(edited(last_switch=n - 3), samples, variation).ok
+    assert verify_both(edited(h_at=eta)).ok
+    assert verify_both(edited(last_switch=n - 3)).ok
 
 
 # --- growth certificates --------------------------------------------------------

@@ -23,7 +23,7 @@ import csv
 import functools
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import Optional
 
 from .codec import AdaptationRule, CodecParams, codec_to_dict, decode_bitstream, encode_signal
@@ -155,7 +155,7 @@ def cmd_verify(args) -> int:
             "codec": codec_to_dict(config.codec),
             "trace": args.trace,
             "verification": report.to_dict(),
-            "trace_consistency": [v.to_dict() for v in consistency],
+            "trace_consistency": [asdict(v) for v in consistency],
         })
     else:
         result, _, report_path = _simulate(config, args.out, trace_consistency=[])
@@ -177,7 +177,7 @@ def cmd_compare(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
     report = run_compare(config)
     report_path = _out_path(config.outputs.report_json, args.out)
-    write_json(report_path, report.to_dict())
+    write_json(report_path, asdict(report))
 
     def show(steps):
         return "unrecovered within horizon" if steps is None else f"{steps} steps"

@@ -35,8 +35,6 @@ from enum import Enum
 from itertools import compress, repeat
 from typing import Iterable, Optional
 
-import numpy as np
-
 from .errors import DomainError, FormatError, NumericError, ParameterError, SequencingError
 from .signals import restart_index
 
@@ -309,9 +307,12 @@ def _check_symbol(h: Symbol) -> Symbol:
 
 
 def _check_sample(x_k) -> float:
-    if not isinstance(x_k, (int, float)) or not math.isfinite(x_k):
-        raise NumericError(f"sample must be finite, got {x_k!r}")
-    return float(x_k)
+    try:
+        if isinstance(x_k, (int, float)) and math.isfinite(x_k):
+            return float(x_k)
+    except OverflowError:  # an int beyond float range
+        pass
+    raise NumericError(f"sample must be finite, got {x_k!r}")
 
 
 def _check_state(state: CodecState) -> None:
@@ -486,47 +487,11 @@ def check_trace(trace: Trace) -> list[tuple[int, str]]:
 
     Used to vet untrusted (possibly tampered) trace files: every y, m, t and
     switch flag must match the shared recursion exactly, and where samples
-    are present the symbol must match the comparison rule. The columns are
-    compared whole; only a trace that fails that comparison is walked row by
-    row to name its problems.
+    are present the symbol must match the comparison rule. One pass over the
+    rows checks all of it and names each problem in row order; the comparison
+    rule raises its NumericError at the first non-finite sample.
     """
     want = decode_bitstream(trace.params, trace.h)
-    if (
-        trace.k == want.k
-        and trace.t == want.t
-        and trace.y == want.y
-        and trace.m == want.m
-        and trace.in_switch == want.in_switch
-        and _symbols_follow_rule(trace.x, want.y, want.h)
-    ):
-        return []
-    return _check_rows(trace, want)
-
-
-def _symbols_follow_rule(x_col: list, y_col: list, h_col: list) -> bool:
-    """Whether every present, finite sample yields its symbol under the
-    comparison rule; False also for a non-finite or non-numeric sample."""
-    n = len(x_col)
-    missing = x_col.count(None)
-    if missing == n:
-        return True
-    present = np.fromiter((x is not None for x in x_col), bool, n) if missing else slice(None)
-    try:
-        x = np.array([0.0 if v is None else v for v in x_col] if missing else x_col, dtype=float)
-    except (TypeError, ValueError):
-        return False
-    if not np.isfinite(x[present]).all():
-        return False
-    y = np.array(y_col)
-    h = np.array(h_col, dtype=np.int8)
-    h_prev = np.concatenate(([PLUS], h[:-1]))
-    rule = np.where(y < x, PLUS, np.where(y > x, MINUS, -h_prev))
-    return bool((rule == h)[present].all())
-
-
-def _check_rows(trace: Trace, want: Trace) -> list[tuple[int, str]]:
-    """The row-by-row comparison behind :func:`check_trace`; raises the
-    comparison rule's NumericError at the first non-finite sample."""
     problems: list[tuple[int, str]] = []
     h_prev = PLUS
     rows = zip(trace.k, trace.t, trace.x, trace.y, trace.h, trace.m, trace.in_switch)

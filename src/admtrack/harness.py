@@ -15,18 +15,21 @@ examples)::
       "comparison": {"baseline": "jayant", "proximity_band_multiplier": 1.0}
     }
 
-``growth`` and ``comparison`` are optional. Trace CSVs have the fixed header
-``k,t,x,y,h,M,in_switch,err_abs`` (x and err_abs cells are empty on
-decode-only traces); report JSONs are sorted-key documents. Identical
-configs produce byte-identical outputs.
+``growth`` and ``comparison`` are optional. Every number in a config is a
+JSON number or a numeric string, never a bool; ``oversample_factor`` and
+``channel.seed`` must be integers, every other number must fit a float.
+
+Trace CSVs have the fixed header ``k,t,x,y,h,M,in_switch,err_abs`` (x and
+err_abs cells are empty on decode-only traces); report JSONs are sorted-key
+documents. Identical configs produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 import os
+import sys
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 from typing import Optional
@@ -91,7 +94,7 @@ class ComparisonSettings:
     def __post_init__(self) -> None:
         if not isinstance(self.baseline, AdaptationRule):
             object.__setattr__(self, "baseline", AdaptationRule(self.baseline))
-        if self.proximity_band_multiplier <= 0.0:
+        if not self.proximity_band_multiplier > 0.0:  # nan fails too
             raise ParameterError("proximity band multiplier must be > 0")
 
 
@@ -113,7 +116,8 @@ class ExperimentConfig:
     comparison: Optional[ComparisonSettings] = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
+        # false for nan, +-inf and ints beyond float range (isfinite raises on those)
+        if not (abs(self.horizon) <= sys.float_info.max and self.horizon > 0.0):
             raise ParameterError(f"horizon must be finite and > 0, got {self.horizon}")
         if self.horizon < self.codec.delta:
             raise ParameterError("horizon shorter than one sampling period")
@@ -138,17 +142,6 @@ class ComparisonReport:
     band_multiplier: float
     variation_rate: float
 
-    def to_dict(self) -> dict:
-        return {
-            "jump_time": self.jump_time,
-            "band": self.band,
-            "recovery_steps_modified": self.recovery_steps_modified,
-            "recovery_steps_baseline": self.recovery_steps_baseline,
-            "baseline_rule": self.baseline_rule.value,
-            "band_multiplier": self.band_multiplier,
-            "variation_rate": self.variation_rate,
-        }
-
 
 @dataclass
 class SimulationResult:
@@ -168,19 +161,22 @@ def signal_from_dict(data: dict) -> SignalSpec:
     try:
         kind = data["kind"]
         if kind == "constant":
-            return Constant(level=float(data["level"]))
+            return Constant(level=_number(data["level"], "signal.level"))
         if kind == "ramp":
-            return Ramp(slope=float(data["slope"]), intercept=float(data["intercept"]))
+            return Ramp(
+                slope=_number(data["slope"], "signal.slope"),
+                intercept=_number(data["intercept"], "signal.intercept"),
+            )
         if kind == "sine":
             return Sine(
-                amplitude=float(data["amplitude"]),
-                frequency_hz=float(data["frequency_hz"]),
-                phase=float(data.get("phase", 0.0)),
+                amplitude=_number(data["amplitude"], "signal.amplitude"),
+                frequency_hz=_number(data["frequency_hz"], "signal.frequency_hz"),
+                phase=_number(data.get("phase", 0.0), "signal.phase"),
             )
         if kind == "piecewise":
             return Piecewise(
                 segments=tuple(
-                    (float(seg["start"]), signal_from_dict(seg["signal"]))
+                    (_number(seg["start"], "segment start"), signal_from_dict(seg["signal"]))
                     for seg in data["segments"]
                 )
             )
@@ -201,7 +197,7 @@ def channel_from_dict(data: dict) -> ChannelModel:
         return Noiseless()
     if kind == "erasure":
         try:
-            return Erasure(p=float(data["p"]), seed=_integer(data.get("seed", 0), "channel.seed"))
+            return Erasure(p=_number(data["p"], "channel.p"), seed=_integer(data.get("seed", 0), "channel.seed"))
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad erasure channel {data!r}: {exc}") from exc
     raise FormatError(f"unknown channel kind {kind!r}")
@@ -217,7 +213,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if "growth" in data and data["growth"] is not None:
         g = data["growth"]
         try:
-            growth = GrowthBound(scale=float(g["scale"]), exponent=float(g.get("exponent", 1.0)))
+            growth = GrowthBound(
+                scale=_number(g["scale"], "growth.scale"),
+                exponent=_number(g.get("exponent", 1.0), "growth.exponent"),
+            )
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad growth section {g!r}: {exc}") from exc
     comparison = None

@@ -148,7 +148,10 @@ class SampledSignal:
     spec: Optional[SignalSpec] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        try:
+            object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        except OverflowError:  # an int beyond float range
+            raise NumericError("samples must be finite") from None
         if self.delta <= 0.0:
             raise ParameterError(f"delta must be > 0, got {self.delta}")
         if any(not math.isfinite(v) for v in self.values):
@@ -175,7 +178,8 @@ class GrowthBound:
     exponent: float
 
     def __post_init__(self) -> None:
-        if self.scale <= 0.0 or self.exponent <= 0.0:
+        # written so that nan fails too
+        if not (self.scale > 0.0 and self.exponent > 0.0):
             raise ParameterError("growth bound needs scale > 0 and exponent > 0")
 
 

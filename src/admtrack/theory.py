@@ -25,7 +25,7 @@ with the initial estimate and slope taken from the trace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -52,9 +52,6 @@ class Violation:
     step: int
     detail: str
 
-    def to_dict(self) -> dict:
-        return {"claim": self.claim, "step": self.step, "detail": self.detail}
-
 
 @dataclass
 class TheoremReport:
@@ -80,19 +77,8 @@ class TheoremReport:
 
     def to_dict(self) -> dict:
         return {
-            "tau": self.tau,
-            "tau_bound": self.tau_bound,
-            "eta": self.eta,
-            "eta_window_end": self.eta_window_end,
-            "sample_error_bound": self.sample_error_bound,
-            "interval_error_bound": self.interval_error_bound,
-            "variation_rate": self.variation_rate,
-            "oversample_factor": self.oversample_factor,
-            "start_index": self.start_index,
-            "n_steps": self.n_steps,
-            "violations": [v.to_dict() for v in self.violations],
+            **asdict(self),
             "not_applicable": [{"claim": c, "reason": r} for c, r in self.not_applicable],
-            "checked": list(self.checked),
             "ok": self.ok,
         }
 

@@ -195,6 +195,15 @@ def test_non_finite_sample_rejected(hand_params):
         encode_step(init_state(hand_params), float("nan"))
 
 
+@pytest.mark.parametrize("bad", [
+    math.inf, pytest.param(10**400, id="10**400"), pytest.param(-(10**400), id="-10**400")
+])
+def test_sample_beyond_float_range_rejected(hand_params, bad):
+    # math.isfinite overflows on an int beyond float range instead of answering
+    with pytest.raises(NumericError, match="sample must be finite"):
+        encode_step(init_state(hand_params), bad)
+
+
 def test_decode_step0_records_symbol(hand_params):
     state, record = decode_step(init_state(hand_params), PLUS)
     assert record.y == 0.0 and record.m == 1.0 and record.h == PLUS

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -80,6 +81,18 @@ BAD_CONFIG_VALUES = [
     ("codec.delta", True),
     ("channel", []),
     ("outputs", {"trace_csv": 5}),
+    # beyond float range: each ended in a raw OverflowError traceback (exit 1)
+    ("signal", {"kind": "sine", "amplitude": 10**400, "frequency_hz": 1.0}),
+    ("signal", {"kind": "piecewise", "segments": [
+        {"start": 0.0, "signal": {"kind": "constant", "level": 2.0}},
+        {"start": 10**400, "signal": {"kind": "constant", "level": 1.0}},
+    ]}),
+    ("growth", {"scale": 10**400, "exponent": 1.0}),
+    ("channel", {"kind": "erasure", "p": 10**400}),
+    # bools were read as 1.0 and 0.0
+    ("signal", {"kind": "sine", "amplitude": True, "frequency_hz": 1.0}),
+    ("growth", {"scale": True}),
+    ("channel", {"kind": "erasure", "p": False}),
 ]
 
 
@@ -133,6 +146,32 @@ def test_overflowing_config_value_exits_2(case, command, tmp_path, capsys):
     else:
         assert code == 2
         assert err.startswith("error: ") and message in err
+
+
+# nan > 0.0 is False, so "<= 0.0" checks let these through: a nan growth
+# scale ran the acquisition scan to its cap, a nan band multiplier made
+# compare write "band": NaN, which is no JSON
+NAN_CONFIG_VALUES = [
+    ("growth", {"scale": math.nan, "exponent": 1.0}, "needs scale > 0"),
+    ("comparison.proximity_band_multiplier", math.nan, "band multiplier must be > 0"),
+]
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify", "compare"])
+@pytest.mark.parametrize("key,value,message", NAN_CONFIG_VALUES)
+def test_nan_config_value_exits_2(key, value, message, command, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_bad_config(key, value)), encoding="utf-8")
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, pytest.param(10**400, id="10**400")])
+def test_horizon_beyond_float_range_rejected(bad):
+    # math.isfinite overflows on an int beyond float range instead of answering
+    with pytest.raises(ParameterError, match="horizon must be finite"):
+        jump_config(horizon=bad)
 
 
 # each was accepted before: a negative seed ended in numpy's raw ValueError

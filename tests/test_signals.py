@@ -105,6 +105,15 @@ def test_sampled_signal_rejects_non_finite():
         SampledSignal(delta=1.0, values=(float("inf"),))
 
 
+# an int beyond float range is no finite sample either (float() overflows on it)
+@pytest.mark.parametrize("bad", [
+    math.nan, -math.inf, pytest.param(10**400, id="10**400"), pytest.param(-(10**400), id="-10**400")
+])
+def test_sampled_signal_rejects_values_beyond_float_range(bad):
+    with pytest.raises(NumericError, match="samples must be finite"):
+        SampledSignal(delta=1.0, values=(0.0, bad))
+
+
 class TestVariationBound:
     def test_constant_has_zero_rate(self):
         bound = estimate_variation_bound(Constant(7.0), 0.1, (0.0, 1.0))
@@ -176,6 +185,11 @@ class TestGrowth:
     def test_rejects_degenerate_bound(self):
         with pytest.raises(ParameterError):
             GrowthBound(scale=0.0, exponent=1.0)
+
+    @pytest.mark.parametrize("scale,exponent", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_rejects_nan(self, scale, exponent):
+        with pytest.raises(ParameterError):
+            GrowthBound(scale=scale, exponent=exponent)
 
 
 class TestDiscontinuities:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -32,7 +32,7 @@ from .codec import (
     CodecParams,
     Symbol,
     Trace,
-    _run_stream,
+    _decode,
     codec_from_dict,
     codec_to_dict,
 )
@@ -109,7 +109,7 @@ def decode_with_erasures(params: CodecParams, received: ReceivedStream) -> Trace
     # in step order, so held[k - 1] is already the last seen symbol
     for k in compress(range(len(held)), substituted):
         held[k] = held[k - 1] if k else PLUS
-    return _run_stream(params, repeat(None), held, substituted)
+    return _decode(params, held, substituted)
 
 
 def write_bitstream(path, params: CodecParams, bits: Sequence[Symbol]) -> None:

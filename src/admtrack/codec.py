@@ -24,16 +24,27 @@ base/power pair exactly and derives the float slope from it, so steady-state
 slopes compare bit-exactly against ``Mbar`` and ``a * Mbar`` (a plain
 multiplicative recursion can land one ulp off the floor after a grow/shrink
 pair).
+
+Decoding makes no comparison, so under the modified rule :func:`_scan` builds
+the whole trace from the bits with numpy: switches are ``h[k-1] != h[k]``, the
+power a cumulative sum of steps -1/0/+1 up to the first switch whose slope is
+not above ``Mbar`` and a walk clamped at 0 after it, every slope one entry of a
+``_slope_value`` table, and ``y`` a sequential ``np.add.accumulate`` in the
+loop's order. Where the scan cannot vouch for the result (Jayant, bad symbols,
+any error) it declines, and the per-step loop runs, with its errors.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import compress, repeat
 from typing import Iterable, Optional
+
+import numpy as np
 
 from .errors import DomainError, FormatError, NumericError, ParameterError, SequencingError
 from .signals import restart_index
@@ -151,12 +162,15 @@ def codec_from_dict(data: dict) -> CodecParams:
 
 def _number(value, what: str, kind=float):
     """A document number converted by ``kind``; bools and non-numbers are
-    FormatErrors."""
+    FormatErrors. An int beyond float range is named by its digit count: the
+    caller's message may show the value already."""
     if isinstance(value, bool):
         raise FormatError(f"{what} must be a number, got {value!r}")
     try:
         return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:
+        raise FormatError(f"{what} is an int of {len(str(abs(value)))} digits, beyond float range") from exc
+    except (TypeError, ValueError) as exc:
         raise FormatError(f"{what} must be a number, got {value!r}") from exc
 
 
@@ -340,7 +354,8 @@ def _slope_value(params: CodecParams, power: int, floored: bool) -> float:
 
 
 def _step(params, k, y, m, h_prev, power, floored, prev_in_switch, x_k, h_k):
-    """The shared encoder/decoder recursion for step ``k``: the only copy.
+    """The shared encoder/decoder recursion for step ``k``; :func:`_scan`
+    restates it for whole decodes and is tested against it.
 
     ``y``, ``m``, ``h_prev``, ``power``, ``floored`` and ``prev_in_switch``
     describe the state after step k-1 (before step 0: y0, m0, +1, 0, False,
@@ -425,6 +440,66 @@ def reconstruct(record: StepRecord, t: float, delta: float) -> float:
     return record.y + record.h * record.m * elapsed
 
 
+# power step of the modified rule, indexed by 2*switch + previous switch: grow
+# off switches, hold right after one, shrink on one
+_POWER_STEP = np.array([1, 0, -1, -1], dtype=np.int8)
+
+
+def _scan(params: CodecParams, bits: list, substituted=None) -> Optional[Trace]:
+    """The :func:`_step` loop's decode trace of ``bits``, bit for bit, from
+    numpy scans; None where the loop might raise or the scan cannot vouch."""
+    n = len(bits)
+    if params.rule is _JAYANT or not n or bits.count(PLUS) + bits.count(MINUS) != n:
+        return None
+    top = -1  # the highest power reached on the floor
+    try:
+        h = np.array(bits, dtype=np.int8)  # TypeError on a complex symbol
+        switch = np.zeros(n, dtype=bool)
+        np.not_equal(h[1:], h[:-1], out=switch[1:])
+        flags = switch.view(np.int8)
+        power = np.zeros(n, dtype=np.int32)  # before the floor: a plain cumulative sum
+        np.add.accumulate(_POWER_STEP.take(2 * flags[1:] + flags[:-1]), dtype=np.int32, out=power[1:])
+        lo, hi = int(power.min()), int(power.max())
+        # the least power whose unfloored slope is above the floor, if the
+        # slope rises with the power (checked on the table below)
+        tau = lo + bisect_left(range(lo, hi + 1), True,
+                               key=lambda p: _slope_value(params, p, False) > params.mbar)
+        floor = (switch & (power < tau)).nonzero()[0]  # a switch below tau floors
+        f = int(floor[0]) if len(floor) else n
+        if f < n:  # from the floor step on, the walk clamped at power 0
+            # the power falls on switches only, and those before f land at tau or above
+            lo, hi = min(0, int(power[f])), int(power[:f].max())
+            walk = power[f:]
+            walk -= np.minimum.accumulate(walk)
+            top = int(walk.max())
+            walk += hi - lo + 1
+        table = [_slope_value(params, p, False) for p in range(lo, hi + 1)]
+        table += [_slope_value(params, q, True) for q in range(top + 1)]
+    except (TypeError, NumericError):
+        return None
+    if not all(0.0 < m < math.inf for m in table) or any(
+            (m > params.mbar) != (p >= tau) for p, m in zip(range(lo, hi + 1), table)):
+        return None
+    power[:f] -= lo  # now every step's index into the table
+    with np.errstate(over="ignore", invalid="ignore"):
+        # h*(m*delta) is the loop's (h*m)*delta: h is +-1 and rounding is symmetric
+        y = np.concatenate(([params.y0], h[:-1] * (np.array(table) * params.delta)[power[:-1]]))
+        np.add.accumulate(y, out=y)  # sequential, in the loop's order
+    if not math.isfinite(y[-1]):  # a non-finite estimate stays non-finite
+        return None
+    return Trace.from_columns(
+        params,
+        k=list(range(n)),
+        t=(np.arange(n) * params.delta).tolist(),
+        x=[None] * n,
+        y=y.tolist(),
+        h=h.tolist(),
+        m=np.array(table, dtype=object)[power].tolist(),  # the table's own floats
+        in_switch=switch.tolist(),
+        substituted=[False] * n if substituted is None else substituted,
+    )
+
+
 def _run_stream(params: CodecParams, xs: Iterable, hs: Iterable, substituted=None) -> Trace:
     """Run :func:`_step` over a whole stream and collect the trace columns.
 
@@ -477,9 +552,16 @@ def encode_signal(params: CodecParams, samples) -> tuple[list[Symbol], Trace]:
     return trace.bits(), trace
 
 
+def _decode(params: CodecParams, bits: list, substituted=None) -> Trace:
+    """The decode trace of ``bits``: :func:`_scan`, or the :func:`_step` loop
+    where the scan declines."""
+    trace = _scan(params, bits, substituted)
+    return _run_stream(params, repeat(None), bits, substituted) if trace is None else trace
+
+
 def decode_bitstream(params: CodecParams, bits) -> Trace:
     """Mirror of :func:`encode_signal`: same recursion driven by the bits."""
-    return _run_stream(params, repeat(None), bits)
+    return _decode(params, list(bits))
 
 
 def check_trace(trace: Trace) -> list[tuple[int, str]]:
@@ -494,19 +576,20 @@ def check_trace(trace: Trace) -> list[tuple[int, str]]:
     want = decode_bitstream(trace.params, trace.h)
     problems: list[tuple[int, str]] = []
     h_prev = PLUS
-    rows = zip(trace.k, trace.t, trace.x, trace.y, trace.h, trace.m, trace.in_switch)
-    for k, (got_k, t, x, y, h, m, in_switch) in enumerate(rows):
+    rows = zip(trace.k, trace.t, trace.x, trace.y, trace.h, trace.m, trace.in_switch,
+               want.t, want.y, want.m, want.in_switch)
+    for k, (got_k, t, x, y, h, m, in_switch, t_k, y_k, m_k, switch_k) in enumerate(rows):
         if got_k != k:
             problems.append((k, f"record index {got_k} != position {k}"))
-        if t != want.t[k]:
-            problems.append((k, f"t={t!r} != k*delta={want.t[k]!r}"))
-        if y != want.y[k]:
-            problems.append((k, f"y={y!r} != recursion value {want.y[k]!r}"))
-        if m != want.m[k]:
-            problems.append((k, f"m={m!r} != recursion value {want.m[k]!r}"))
-        if in_switch != want.in_switch[k]:
-            problems.append((k, f"in_switch={in_switch} != {want.in_switch[k]}"))
-        if x is not None and symbol_for_sample(want.y[k], x, h_prev) != h:
+        if t != t_k:
+            problems.append((k, f"t={t!r} != k*delta={t_k!r}"))
+        if y != y_k:
+            problems.append((k, f"y={y!r} != recursion value {y_k!r}"))
+        if m != m_k:
+            problems.append((k, f"m={m!r} != recursion value {m_k!r}"))
+        if in_switch != switch_k:
+            problems.append((k, f"in_switch={in_switch} != {switch_k}"))
+        if x is not None and symbol_for_sample(y_k, x, h_prev) != h:
             problems.append((k, "symbol disagrees with the comparison rule"))
         h_prev = h
     return problems

@@ -23,8 +23,9 @@ Both are certified on finite grids, not analytically.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Union
 
 import numpy as np
@@ -56,8 +57,23 @@ __all__ = [
 CHUNK_CELLS = 1024
 
 
+def _check_float_range(what: str, value) -> None:
+    """Every float operation on an int beyond float range overflows; reject it
+    by its digit count, so an error line does not repeat hundreds of digits."""
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ParameterError(f"{what} is an int of {len(str(abs(value)))} digits, beyond float range")
+
+
+class _FloatFields:
+    """Checks every field with :func:`_check_float_range`; stores them as given."""
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            _check_float_range(f"{type(self).__name__}.{f.name}", getattr(self, f.name))
+
+
 @dataclass(frozen=True)
-class Constant:
+class Constant(_FloatFields):
     level: float
 
     def at(self, t: float) -> float:
@@ -68,7 +84,7 @@ class Constant:
 
 
 @dataclass(frozen=True)
-class Ramp:
+class Ramp(_FloatFields):
     slope: float
     intercept: float
 
@@ -80,7 +96,7 @@ class Ramp:
 
 
 @dataclass(frozen=True)
-class Sine:
+class Sine(_FloatFields):
     amplitude: float
     frequency_hz: float
     phase: float = 0.0
@@ -107,6 +123,8 @@ class Piecewise:
     _starts: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for s, _ in self.segments:
+            _check_float_range("Piecewise segment start", s)
         segs = tuple((float(s), spec) for s, spec in self.segments)
         object.__setattr__(self, "segments", segs)
         if not segs:

@@ -6,9 +6,12 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admtrack import (
     AdaptationRule,
@@ -118,7 +121,10 @@ def test_bad_config_value_exits_2(key, value, command, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(_bad_config(key, value)), encoding="utf-8")
     assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    # an int beyond float range is named by its digit count; only the section may show it
+    assert err.count("0" * 400) <= 1
 
 
 OVERFLOWING_CONFIG_VALUES = {
@@ -551,7 +557,7 @@ class TestCliEncodeDecode:
         assert main(["decode", str(odm)]) == 0
         odm.write_text(f'ODM/1\n{HEADER[:-1].replace("0.0", "1" + "0" * 400)}, "count": 1}}\n1\n')
         assert main(["decode", str(odm)]) == 2
-        assert "y0 must be a number" in capsys.readouterr().err
+        assert "y0 is an int of 401 digits, beyond float range" in capsys.readouterr().err
 
     def test_non_utf8_samples_csv_exits_2(self, tmp_path, capsys):
         samples_path = tmp_path / "bad.csv"
@@ -589,6 +595,50 @@ class TestCliEncodeDecode:
         samples_path.write_text("x\n1.0\nnope\n")
         assert main(["encode", str(samples_path), "--delta", "1", "--y0", "0", "--m0", "1"]) == 2
         assert "row 3" in capsys.readouterr().err
+
+
+# ODM/1 header values: numbers at the edges of the floats, numeric strings,
+# bools, ints beyond float range and wrong types
+ODM_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, 1e300, -1e300, 1e-300, 5e-324, 10**400, -10**400]),
+    st.floats(),
+    st.integers(-3, 3),
+    st.sampled_from(["1.5", "2", "1e-300", "nan", "x", "", True, False, None, [], {}]),
+)
+
+
+@st.composite
+def odm_files(draw):
+    body = draw(st.text(alphabet="10", max_size=300))
+    if draw(st.integers(0, 3)):  # three in four are well formed, so most of them decode
+        header = {
+            "y0": draw(st.floats(-1e300, 1e300)),
+            "M0": draw(st.sampled_from([1.0, 1e-300, 1e300]) | st.floats(1e-3, 1e3)),
+            "Mbar": draw(st.sampled_from([0.0, 1.0, 1e-300]) | st.floats(1e-3, 1e3)),
+            "a": draw(st.sampled_from([2.0, 1.5]) | st.floats(1.01, 2.0)),
+            "delta": draw(st.sampled_from([1.0, 0.01]) | st.floats(1e-3, 10.0)),
+            "rule": "modified",
+            "count": len(body),
+        }
+    else:
+        body = draw(st.sampled_from([body]) | st.text(alphabet="10x \n\u00e9", max_size=8))
+        header = {key: draw(ODM_VALUES) for key in ("y0", "M0", "Mbar", "a", "delta", "count")}
+        header["rule"] = draw(st.sampled_from(["modified", "jayant", "other", 1]))
+        if draw(st.booleans()):
+            header["count"] = len(body)
+        if draw(st.booleans()):
+            del header[draw(st.sampled_from(sorted(header)))]
+    return f"ODM/1\n{json.dumps(header)}\n{body}\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=odm_files())
+def test_decode_of_any_odm_file_exits_0_or_2(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.odm")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        assert main(["decode", path, "--out", tmp]) in (0, 2)
 
 
 class TestCliRuleOverride:

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import admtrack.codec as codec
 import admtrack.harness as harness
 import admtrack.theory as theory
 from admtrack import (
@@ -38,6 +39,7 @@ from admtrack import (
     NumericError,
     Piecewise,
     Ramp,
+    ReceivedStream,
     SampledSignal,
     Sine,
     StepRecord,
@@ -769,6 +771,136 @@ def test_consistent_traces_have_no_problems(hand_params, hand_samples):
         except NumericError:
             continue
         assert check_trace(trace) == []
+
+
+# --- the decode scan -----------------------------------------------------------
+#
+# decode_bitstream and decode_with_erasures run codec._scan, which builds the
+# modified rule's decode trace from numpy scans over the bits and declines
+# (falls back to the _step loop) wherever it cannot vouch for the result. Its
+# columns, element types and errors must be the oracle's.
+
+COLUMN_TYPES = {"k": int, "t": float, "y": float, "h": int, "m": float, "in_switch": bool}
+
+
+def assert_decodes_like_oracle(params, symbols):
+    """Decode ``symbols`` (None marks an erasure) and compare with the oracle:
+    the same columns and element types, or the same error."""
+    if None in symbols:
+        run = lambda: decode_with_erasures(params, ReceivedStream(tuple(symbols)))
+        oracle = lambda: oracle_decode_with_erasures(params, symbols)
+    else:
+        run = lambda: decode_bitstream(params, symbols)
+        oracle = lambda: oracle_decode_bitstream(params, symbols)
+    trace, want = same_outcome(run, oracle)
+    if want is not None:
+        assert_same_columns(trace, want)
+        for name, kind in COLUMN_TYPES.items():
+            assert all(type(v) is kind for v in getattr(trace, name)), name
+    return trace
+
+
+def alternating(n):
+    return [PLUS, MINUS] * (n // 2) + [PLUS] * (n % 2)
+
+
+@pytest.mark.parametrize(
+    "params,bits",
+    [
+        # mbar = 0: the slope halves down to 0, which the floor step then sets
+        (CodecParams(y0=0.0, m0=1.0, mbar=0.0, a=2.0, delta=1.0), alternating(1200)),
+        (CodecParams(y0=0.0, m0=1.0, mbar=0.0, a=1.5, delta=1.0), [PLUS, PLUS, MINUS] * 50),
+        # m0 far above mbar: a long descent over negative powers, then the floor
+        (CodecParams(y0=0.0, m0=2.0 ** 40, mbar=1.0, a=2.0, delta=0.01), alternating(300)),
+        (CodecParams(y0=3.0, m0=1e300, mbar=1e-300, a=1.01, delta=1.0), alternating(2000)),
+        # m0 below mbar: the first switch floors, wherever the power has grown to
+        (CodecParams(y0=0.0, m0=0.01, mbar=1.0, a=2.0, delta=0.5), [PLUS] * 5 + alternating(40)),
+        (CodecParams(y0=0.0, m0=1e-300, mbar=1.0, a=2.0, delta=1.0), [MINUS] * 1010 + alternating(9)),
+        # runs of three cost no power: the slope never reaches the floor
+        (CodecParams(y0=0.0, m0=2.0 ** 10, mbar=1.0, a=2.0, delta=1.0), [PLUS] * 4 + [MINUS, MINUS, MINUS, PLUS, PLUS, PLUS] * 30),
+        # the estimate overflows at the last step only
+        (CodecParams(y0=1.5e308, m0=1e307, mbar=1e307, a=2.0, delta=1.0), [PLUS] * 2),
+        (CodecParams(y0=1.5e308, m0=1e307, mbar=1e307, a=2.0, delta=1.0), [PLUS] * 3),
+        # the slope leaves the floats (an overflowing power a**p is in test_codec.py)
+        (CodecParams(y0=0.0, m0=1e300, mbar=1.0, a=2.0, delta=1e-300), [PLUS] * 40),
+        # n = 0, 1 and 2
+        (CodecParams(y0=0.0, m0=1.0, mbar=1.0, a=2.0, delta=1.0), []),
+        (CodecParams(y0=-0.0, m0=1.0, mbar=1.0, a=2.0, delta=1.0), [MINUS]),
+        (CodecParams(y0=0.0, m0=1.0, mbar=1.0, a=2.0, delta=1.0), [PLUS, MINUS]),
+        (CodecParams(y0=0.0, m0=1.0, mbar=1.0, a=2.0, delta=1.0), [MINUS, MINUS]),
+    ],
+)
+def test_scan_edge_cases_decode_like_oracle(params, bits):
+    assert_decodes_like_oracle(params, bits)
+
+
+def test_symbols_equal_to_one_decode_to_int_columns(hand_params):
+    symbols = [True, 1.0, np.int8(-1), -1.0, PLUS, np.float64(1.0), MINUS]
+    trace = assert_decodes_like_oracle(hand_params, symbols)
+    assert trace.h == [1, 1, -1, -1, 1, 1, -1]
+
+
+@pytest.mark.parametrize("position", [0, 5, 9])
+@pytest.mark.parametrize("bad", [0, 2, None, "1", 1.5, False, math.nan])
+def test_bad_symbols_raise_the_loops_error(hand_params, bad, position):
+    bits = [PLUS, PLUS, PLUS, PLUS, MINUS, MINUS, PLUS, PLUS, MINUS, PLUS]
+    bits[position] = bad
+    # the oracle's message; the oracle itself reads a None symbol as "encode"
+    with pytest.raises(NumericError) as got:
+        decode_bitstream(hand_params, bits)
+    assert str(got.value) == f"binary symbol must be +1 or -1, got {bad!r}"
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_erasure_scan_matches_oracle(seed):
+    rng = random.Random(6500 + seed)
+    params = random_codec(rng).with_rule(AdaptationRule.MODIFIED)
+    bits = [rng.choice([PLUS, MINUS]) for _ in range(rng.randrange(1, 200))]
+    symbols = list(transmit(bits, Erasure(p=0.9, seed=seed)).symbols)
+    symbols[0] = None
+    assert_decodes_like_oracle(params, symbols)
+
+
+@st.composite
+def modified_codecs(draw):
+    a = draw(st.sampled_from([2.0, 1.5, 1.01]) | st.floats(1.0001, 2.0))
+    mbar = draw(st.sampled_from([0.0, 1e-300, 1.0]) | st.floats(1e-3, 1e3))
+    m0 = draw(st.sampled_from([mbar or 1.0, 1e300, 1e-300]) | st.floats(1e-3, 1e3))
+    return CodecParams(
+        y0=draw(st.sampled_from([0.0, 1e308, -1e308]) | st.floats(-1e3, 1e3)),
+        m0=min(m0 * a ** draw(st.integers(-40, 40)), 1e308) or 1.0,
+        mbar=mbar,
+        a=a,
+        delta=draw(st.sampled_from([1.0, 0.01, 1e8]) | st.floats(1e-3, 10.0)),
+    )
+
+
+@st.composite
+def bit_streams(draw):
+    runs = draw(st.lists(st.integers(1, 12), max_size=60))
+    bits = [sign for i, run in enumerate(runs) for sign in [(-1) ** i] * run]
+    return bits if draw(st.booleans()) else [-b for b in bits]
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=modified_codecs(), bits=bit_streams())
+def test_scan_matches_oracle_property(params, bits):
+    assert_decodes_like_oracle(params, bits)
+
+
+def test_clean_modified_stream_is_decoded_by_the_scan(hand_params, monkeypatch):
+    def no_loop(*args):
+        raise AssertionError("the _step loop ran")
+
+    bits = [PLUS, MINUS, MINUS, PLUS] * 100
+    want = decode_bitstream(hand_params, bits)
+    monkeypatch.setattr(codec, "_run_stream", no_loop)
+    assert decode_bitstream(hand_params, bits) == want
+    assert decode_with_erasures(hand_params, ReceivedStream((None, *bits[1:]))).substituted[0]
+    with pytest.raises(AssertionError, match="_step loop"):  # the Jayant rule declines
+        decode_bitstream(hand_params.with_rule(AdaptationRule.JAYANT), bits)
+    with pytest.raises(AssertionError, match="_step loop"):  # and so does an error
+        decode_bitstream(hand_params, [PLUS] * 1100)
 
 
 # --- trace CSV writer and reader ----------------------------------------------

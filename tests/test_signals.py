@@ -114,6 +114,26 @@ def test_sampled_signal_rejects_values_beyond_float_range(bad):
         SampledSignal(delta=1.0, values=(0.0, bad))
 
 
+HUGE = 10**400
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: Piecewise(((0.0, Constant(1.0)), (HUGE, Constant(2.0)))), "Piecewise segment start"),
+    (lambda: Constant(HUGE), "Constant.level"),
+    (lambda: Ramp(slope=HUGE, intercept=0.0), "Ramp.slope"),
+    (lambda: Ramp(slope=1.0, intercept=-HUGE), "Ramp.intercept"),
+    (lambda: Sine(amplitude=HUGE, frequency_hz=1.0), "Sine.amplitude"),
+    (lambda: Sine(amplitude=1.0, frequency_hz=-HUGE), "Sine.frequency_hz"),
+    (lambda: Sine(amplitude=1.0, frequency_hz=1.0, phase=HUGE), "Sine.phase"),
+])
+def test_signals_reject_ints_beyond_float_range(build, message):
+    # each ended in a raw OverflowError from sample or estimate_variation_bound
+    with pytest.raises(ParameterError, match=f"^{message} is an int of 401 digits, beyond float range$"):
+        build()
+    # ints in range are stored as given
+    assert repr(Sine(amplitude=2, frequency_hz=1)) == "Sine(amplitude=2, frequency_hz=1, phase=0.0)"
+
+
 class TestVariationBound:
     def test_constant_has_zero_rate(self):
         bound = estimate_variation_bound(Constant(7.0), 0.1, (0.0, 1.0))

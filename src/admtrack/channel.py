@@ -112,21 +112,39 @@ def decode_with_erasures(params: CodecParams, received: ReceivedStream) -> Trace
     return _decode(params, held, substituted)
 
 
+class _Replacing:
+    """``with _Replacing(path, **open_args) as fh`` writes text to ``path.tmp``
+    and moves it onto ``path`` at the end. On any error, the move's included,
+    the temp file is removed and the error propagates."""
+
+    def __init__(self, path, **open_args) -> None:
+        self.path, self.tmp = path, f"{path}.tmp"
+        self.fh = open(self.tmp, "w", **open_args)
+
+    def __enter__(self):
+        return self.fh
+
+    def __exit__(self, error, *_) -> None:
+        replaced = False
+        try:
+            self.fh.close()
+            if error is None:
+                os.replace(self.tmp, self.path)
+                replaced = True
+        finally:
+            if not replaced:
+                os.unlink(self.tmp)
+
+
 def write_bitstream(path, params: CodecParams, bits: Sequence[Symbol]) -> None:
     """Write an ODM/1 file; the header floats round-trip exactly."""
-    body = []
     for k, b in enumerate(bits):
-        if b == PLUS:
-            body.append("1")
-        elif b == MINUS:
-            body.append("0")
-        else:
+        if b != PLUS and b != MINUS:
             raise FormatError(f"symbol at position {k} is {b!r}, not +1/-1")
+    body = "".join("1" if b == PLUS else "0" for b in bits)
     header = json.dumps({**codec_to_dict(params), "count": len(bits)}, sort_keys=True)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write(f"{MAGIC}\n{header}\n{''.join(body)}\n")
-    os.replace(tmp, path)
+    with _Replacing(path, encoding="ascii") as fh:
+        fh.write(f"{MAGIC}\n{header}\n{body}\n")
 
 
 def read_bitstream(path) -> tuple[CodecParams, list[Symbol]]:

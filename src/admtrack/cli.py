@@ -26,13 +26,12 @@ import sys
 from dataclasses import asdict, replace
 from typing import Optional
 
-from .codec import AdaptationRule, CodecParams, codec_to_dict, decode_bitstream, encode_signal
+from .codec import AdaptationRule, CodecParams, check_trace, codec_to_dict, decode_bitstream, encode_signal
 from .channel import Erasure, read_bitstream, write_bitstream
 from .errors import AdmTrackError, FormatError
 from .harness import (
     ExperimentConfig,
     SimulationResult,
-    consistency_violations,
     load_config,
     read_trace_csv,
     run_compare,
@@ -43,6 +42,7 @@ from .harness import (
     write_trace_csv,
 )
 from .signals import SampledSignal, sample
+from .theory import Violation
 
 __all__ = ["main"]
 
@@ -149,7 +149,7 @@ def cmd_verify(args) -> int:
         samples = sample(config.signal, config.codec.delta, config.horizon)
         trace = read_trace_csv(args.trace, config.codec)
         report = verify_run(config, trace, samples)
-        consistency = consistency_violations(trace)
+        consistency = [Violation("trace_consistency", k, msg) for k, msg in check_trace(trace)]
         report_path = _out_path(config.outputs.report_json, args.out)
         write_json(report_path, {
             "codec": codec_to_dict(config.codec),

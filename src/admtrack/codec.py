@@ -26,12 +26,9 @@ multiplicative recursion can land one ulp off the floor after a grow/shrink
 pair).
 
 Decoding makes no comparison, so under the modified rule :func:`_scan` builds
-the whole trace from the bits with numpy: switches are ``h[k-1] != h[k]``, the
-power a cumulative sum of steps -1/0/+1 up to the first switch whose slope is
-not above ``Mbar`` and a walk clamped at 0 after it, every slope one entry of a
-``_slope_value`` table, and ``y`` a sequential ``np.add.accumulate`` in the
-loop's order. Where the scan cannot vouch for the result (Jayant, bad symbols,
-any error) it declines, and the per-step loop runs, with its errors.
+the whole trace from the bits with numpy scans. Where it cannot vouch for the
+result (Jayant, bad symbols, any error) it declines, and the per-step loop
+runs, with its errors. A :class:`Trace` holds typed numpy columns.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import compress, repeat
+from itertools import repeat
 from typing import Iterable, Optional
 
 import numpy as np
@@ -211,51 +208,67 @@ class StepRecord:
 
 
 class Trace:
-    """A codec run stored as columns, one list per field, one entry per step.
+    """A codec run stored as typed numpy columns, one entry per step.
 
-    The columns are ``k, t, x, y, h, m, in_switch, substituted`` with the
-    meaning of the :class:`StepRecord` fields (``x`` holds None on decode).
-    ``records`` is the per-step view, built on first use and cached, so the
-    columns must not be mutated. ``Trace(params, records)`` builds the
-    columns from records; the codec builds traces with :meth:`from_columns`.
+    The columns mean what the :class:`StepRecord` fields mean: ``k`` int64;
+    ``t``, ``x``, ``y``, ``m`` float64; ``h`` int8; ``in_switch`` and
+    ``substituted`` bool. An absent sample (every step of a decode) is a
+    False bit of the mask ``x_present`` and 0.0 in ``x``, never NaN. The
+    columns must not be mutated. ``records`` is the per-step view in Python
+    scalars (None for an absent x), built on first use and cached.
     """
 
     COLUMNS = ("k", "t", "x", "y", "h", "m", "in_switch", "substituted")
+    _DTYPES = {"k": np.int64, "h": np.int8, "in_switch": np.bool_}  # the others float64
 
     def __init__(self, params: CodecParams, records: Iterable[StepRecord] = ()) -> None:
         records = tuple(records)
-        self.params = params
-        self.k = [r.k for r in records]
-        self.t = [r.t for r in records]
-        self.x = [r.x for r in records]
-        self.y = [r.y for r in records]
-        self.h = [r.h for r in records]
-        self.m = [r.m for r in records]
-        self.in_switch = [r.in_switch for r in records]
-        self.substituted = [r.substituted for r in records]
+        self._fill(params, {name: [getattr(r, name) for r in records] for name in self.COLUMNS})
         self._records: Optional[tuple[StepRecord, ...]] = records
 
     @classmethod
-    def from_columns(cls, params: CodecParams, **columns: list) -> "Trace":
-        """A trace over the given columns (all of :attr:`COLUMNS`, equal lengths)."""
-        if set(columns) != set(cls.COLUMNS):
-            raise ParameterError(f"trace columns must be exactly {cls.COLUMNS}")
-        if len({len(column) for column in columns.values()}) > 1:
-            raise ParameterError("trace columns differ in length")
+    def from_columns(cls, params: CodecParams, **columns) -> "Trace":
+        """A trace over all of :attr:`COLUMNS`, of equal lengths, each converted to its
+        dtype exactly or a ParameterError. ``x`` may be None (no samples), an array (all
+        present) or hold None for an absent sample; a ``substituted`` of None means none."""
         trace = cls.__new__(cls)
-        trace.params = params
-        for name in cls.COLUMNS:
-            setattr(trace, name, columns[name])
-        trace._records = None
+        trace._fill(params, columns)
         return trace
 
-    def _columns(self) -> tuple[list, ...]:
-        return tuple(getattr(self, name) for name in self.COLUMNS)
+    def _fill(self, params: CodecParams, columns: dict) -> None:
+        if set(columns) != set(self.COLUMNS):
+            raise ParameterError(f"trace columns must be exactly {self.COLUMNS}")
+        self.params, self._records = params, None
+        x, substituted = columns.pop("x"), columns.pop("substituted")
+        for name, values in columns.items():
+            setattr(self, name, _exact(name, values, self._DTYPES.get(name, np.float64)))
+        n = len(self.k)
+        if x is None or isinstance(x, np.ndarray):
+            self.x_present = np.full(n, x is not None)
+            # no samples: a read-only view of one 0.0 at every step, no per-step memory
+            self.x = _exact("x", x, np.float64) if x is not None else np.ndarray((n,), np.float64, bytes(8), 0, (0,))
+        else:
+            self.x_present = np.array([v is not None for v in x], dtype=bool)
+            self.x = np.zeros(len(self.x_present))
+            self.x[self.x_present] = _exact("x", [v for v in x if v is not None], np.float64)
+        self.substituted = np.zeros(n, bool) if substituted is None else _exact("substituted", substituted, np.bool_)
+        if any(len(getattr(self, name)) != n for name in self.COLUMNS):
+            raise ParameterError("trace columns differ in length")
+
+    def x_list(self, rows: slice = slice(None)) -> list:
+        """``x[rows]`` as Python floats, None where the sample is absent."""
+        present = self.x_present[rows]
+        if not present.any():
+            return [None] * len(present)
+        x = self.x[rows].tolist()
+        return x if present.all() else [v if p else None for v, p in zip(x, present.tolist())]
 
     @property
     def records(self) -> tuple[StepRecord, ...]:
         if self._records is None:
-            self._records = tuple(map(StepRecord, *self._columns()))
+            columns = [self.x_list() if name == "x" else getattr(self, name).tolist()
+                       for name in self.COLUMNS]
+            self._records = tuple(map(StepRecord, *columns))
         return self._records
 
     def __len__(self) -> int:
@@ -264,37 +277,51 @@ class Trace:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Trace):
             return NotImplemented
-        return self.params == other.params and self._columns() == other._columns()
+        return self.params == other.params and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in self.COLUMNS + ("x_present",))
 
     def __repr__(self) -> str:
         return f"Trace(params={self.params!r}, steps={len(self)})"
 
     def bits(self) -> list[Symbol]:
-        return list(self.h)
+        return self.h.tolist()
 
     def switch_indices(self) -> list[int]:
-        return list(compress(self.k, self.in_switch))
+        return self.k[self.in_switch].tolist()
 
     def estimate_at(self, t: float) -> float:
         """Piecewise-linear reconstruction at any time covered by the trace."""
-        if not self.k:
+        if not len(self):
             raise DomainError("empty trace")
         delta = self.params.delta
         # a grid time k*delta is the right end of cell k-1: y[k] bit for bit on a codec trace
-        k = min(max(restart_index(delta, t) - 1, 0), len(self.k) - 1)
-        return reconstruct(StepRecord(*(column[k] for column in self._columns())), t, delta)
+        k = min(max(restart_index(delta, t) - 1, 0), len(self) - 1)
+        k, t_k, y, h, m = (column[k].item() for column in (self.k, self.t, self.y, self.h, self.m))
+        return reconstruct(StepRecord(k, t_k, None, y, h, m, False), t, delta)
+
+
+def _exact(name: str, values, dtype) -> np.ndarray:
+    """``values`` as a 1-d array of ``dtype`` converted without loss, or a
+    ParameterError (strings, objects, fractions for an integer dtype, ...)."""
+    try:
+        column = np.asarray(values)
+    except (TypeError, ValueError) as exc:  # a ragged sequence
+        raise ParameterError(f"trace column {name}: {exc}") from None
+    if column.ndim != 1 or column.dtype.kind not in "biuf":
+        raise ParameterError(f"trace column {name} must be a sequence of numbers, got {column.dtype}")
+    if column.dtype == dtype:
+        return column
+    with np.errstate(invalid="ignore", over="ignore"):  # a cast that is not exact fails the check
+        converted = column.astype(dtype)
+        if (converted.astype(column.dtype) != column).any():
+            raise ParameterError(f"trace column {name} does not convert exactly to {np.dtype(dtype)}")
+    return converted
 
 
 def init_state(params: CodecParams) -> CodecState:
     """Fresh pre-step-0 state: estimate y0, slope m0, symbol memory +1."""
-    return CodecState(
-        params=params,
-        k=0,
-        y=params.y0,
-        m=params.m0,
-        h=PLUS,
-        prev_in_switch=False,
-    )
+    return CodecState(params=params, k=0, y=params.y0, m=params.m0, h=PLUS, prev_in_switch=False)
 
 
 def symbol_for_sample(y_k: float, x_k: float, h_prev: Symbol) -> Symbol:
@@ -330,12 +357,7 @@ def _check_sample(x_k) -> float:
 
 
 def _check_state(state: CodecState) -> None:
-    if (
-        state.k < 0
-        or not math.isfinite(state.y)
-        or not math.isfinite(state.m)
-        or state.m <= 0.0
-    ):
+    if state.k < 0 or not math.isfinite(state.y) or not 0.0 < state.m < math.inf:
         raise SequencingError(f"corrupt codec state at step {state.k}")
 
 
@@ -454,8 +476,7 @@ def _scan(params: CodecParams, bits: list, substituted=None) -> Optional[Trace]:
     top = -1  # the highest power reached on the floor
     try:
         h = np.array(bits, dtype=np.int8)  # TypeError on a complex symbol
-        switch = np.zeros(n, dtype=bool)
-        np.not_equal(h[1:], h[:-1], out=switch[1:])
+        switch = _switches(h)
         flags = switch.view(np.int8)
         power = np.zeros(n, dtype=np.int32)  # before the floor: a plain cumulative sum
         np.add.accumulate(_POWER_STEP.take(2 * flags[1:] + flags[:-1]), dtype=np.int32, out=power[1:])
@@ -488,15 +509,8 @@ def _scan(params: CodecParams, bits: list, substituted=None) -> Optional[Trace]:
     if not math.isfinite(y[-1]):  # a non-finite estimate stays non-finite
         return None
     return Trace.from_columns(
-        params,
-        k=list(range(n)),
-        t=(np.arange(n) * params.delta).tolist(),
-        x=[None] * n,
-        y=y.tolist(),
-        h=h.tolist(),
-        m=np.array(table, dtype=object)[power].tolist(),  # the table's own floats
-        in_switch=switch.tolist(),
-        substituted=[False] * n if substituted is None else substituted,
+        params, k=np.arange(n), t=np.arange(n) * params.delta, x=None, y=y, h=h,
+        m=np.array(table)[power], in_switch=switch, substituted=substituted,
     )
 
 
@@ -507,34 +521,33 @@ def _run_stream(params: CodecParams, xs: Iterable, hs: Iterable, substituted=Non
     ``hs``; decoding the reverse. The stream ends with the shorter of the
     two. ``substituted`` is the column of the same name (default all False).
     """
-    x_col: list = []
-    y_col: list = []
-    h_col: list = []
-    m_col: list = []
-    switch_col: list = []
+    x_col, y_col, h_col, m_col = [], [], [], []
+    # bound once: the loop runs once per step
+    add_x, add_y, add_h, add_m = x_col.append, y_col.append, h_col.append, m_col.append
     y, m, h, in_switch, power, floored = params.y0, params.m0, PLUS, False, 0, False
     for k, (x_k, h_k) in enumerate(zip(xs, hs)):
         y, m, h, in_switch, power, floored = _step(
             params, k, y, m, h, power, floored, in_switch, x_k, h_k
         )
-        x_col.append(x_k)
-        y_col.append(y)
-        h_col.append(h)
-        m_col.append(m)
-        switch_col.append(in_switch)
+        add_x(x_k)
+        add_y(y)
+        add_h(h)
+        add_m(m)
     n = len(y_col)
-    delta = params.delta
+    h = np.array(h_col, dtype=np.int8)
     return Trace.from_columns(
-        params,
-        k=list(range(n)),
-        t=[k * delta for k in range(n)],
-        x=x_col,
-        y=y_col,
-        h=h_col,
-        m=m_col,
-        in_switch=switch_col,
-        substituted=[False] * n if substituted is None else substituted,
+        params, k=np.arange(n), t=np.arange(n) * params.delta,
+        x=np.array(x_col, dtype=float) if None not in x_col[:1] else None,
+        y=np.array(y_col, dtype=float), h=h, m=np.array(m_col, dtype=float),
+        in_switch=_switches(h), substituted=substituted,
     )
+
+
+def _switches(h: np.ndarray) -> np.ndarray:
+    """The switch flags of a symbol column: ``h[k-1] != h[k]``, never at step 0."""
+    switch = np.zeros(len(h), dtype=bool)
+    np.not_equal(h[1:], h[:-1], out=switch[1:])
+    return switch
 
 
 def encode_signal(params: CodecParams, samples) -> tuple[list[Symbol], Trace]:
@@ -567,18 +580,24 @@ def decode_bitstream(params: CodecParams, bits) -> Trace:
 def check_trace(trace: Trace) -> list[tuple[int, str]]:
     """Re-derive the whole trace from its bits and report any mismatch.
 
-    Used to vet untrusted (possibly tampered) trace files: every y, m, t and
-    switch flag must match the shared recursion exactly, and where samples
-    are present the symbol must match the comparison rule. One pass over the
-    rows checks all of it and names each problem in row order; the comparison
-    rule raises its NumericError at the first non-finite sample.
+    Used to vet untrusted (possibly tampered) trace files: every k, t, y, m
+    and switch flag must match the shared recursion exactly, and where
+    samples are present the symbol must match the comparison rule. The
+    columns are compared whole; a row pass over the flagged steps names the
+    problems in row order. A non-finite sample raises NumericError.
     """
-    want = decode_bitstream(trace.params, trace.h)
+    want = _decode(trace.params, trace.bits())
+    x, present, h = trace.x, trace.x_present, trace.h
+    for k in np.flatnonzero(present & ~np.isfinite(x))[:1].tolist():
+        symbol_for_sample(want.y[k].item(), x[k].item(), PLUS)  # raises its NumericError
+    h_prev = np.concatenate(([PLUS], h[:-1]))
+    symbol = present & (np.where(want.y < x, PLUS, np.where(want.y > x, MINUS, -h_prev)) != h)
+    flagged = symbol | (trace.k != np.arange(len(trace))) | (trace.t != want.t)
+    flagged |= (trace.y != want.y) | (trace.m != want.m) | (trace.in_switch != want.in_switch)
     problems: list[tuple[int, str]] = []
-    h_prev = PLUS
-    rows = zip(trace.k, trace.t, trace.x, trace.y, trace.h, trace.m, trace.in_switch,
-               want.t, want.y, want.m, want.in_switch)
-    for k, (got_k, t, x, y, h, m, in_switch, t_k, y_k, m_k, switch_k) in enumerate(rows):
+    rows = (trace.k, trace.t, trace.y, trace.m, trace.in_switch, want.t, want.y, want.m, want.in_switch)
+    for k in np.flatnonzero(flagged).tolist():
+        got_k, t, y, m, in_switch, t_k, y_k, m_k, switch_k = (column[k].item() for column in rows)
         if got_k != k:
             problems.append((k, f"record index {got_k} != position {k}"))
         if t != t_k:
@@ -589,7 +608,6 @@ def check_trace(trace: Trace) -> list[tuple[int, str]]:
             problems.append((k, f"m={m!r} != recursion value {m_k!r}"))
         if in_switch != switch_k:
             problems.append((k, f"in_switch={in_switch} != {switch_k}"))
-        if x is not None and symbol_for_sample(y_k, x, h_prev) != h:
+        if symbol[k]:
             problems.append((k, "symbol disagrees with the comparison rule"))
-        h_prev = h
     return problems

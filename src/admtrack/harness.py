@@ -27,25 +27,27 @@ documents. Identical configs produce byte-identical outputs.
 from __future__ import annotations
 
 import csv
+import io
 import json
-import os
 import sys
 from dataclasses import dataclass, field
-from itertools import islice, repeat
 from typing import Optional
 
+import numpy as np
+
 from .codec import (
+    MINUS,
+    PLUS,
     AdaptationRule,
     CodecParams,
     Symbol,
     Trace,
     _number,
-    check_trace,
     codec_from_dict,
     codec_to_dict,
     encode_signal,
 )
-from .channel import ChannelModel, Erasure, Noiseless, ReceivedStream, decode_with_erasures, transmit
+from .channel import ChannelModel, Erasure, Noiseless, ReceivedStream, _Replacing, decode_with_erasures, transmit
 from .errors import DomainError, FormatError, ParameterError
 from .signals import (
     Constant,
@@ -60,7 +62,7 @@ from .signals import (
     restart_index,
     sample,
 )
-from .theory import TheoremReport, Violation, verify_theorem
+from .theory import TheoremReport, verify_theorem
 
 __all__ = [
     "TRACE_COLUMNS",
@@ -375,7 +377,7 @@ def run_compare(config: ExperimentConfig) -> ComparisonReport:
         ("baseline", config.codec.with_rule(settings.baseline)),
     ):
         _, trace = encode_signal(params, samples)
-        errors = [abs(x - y) for x, y in zip(samples.values, trace.y)]
+        errors = [abs(x - y) for x, y in zip(samples.values, trace.y.tolist())]
         results[label] = recovery_steps(errors, start, band)
 
     return ComparisonReport(
@@ -392,11 +394,14 @@ def run_compare(config: ExperimentConfig) -> ComparisonReport:
 # --- file I/O ---------------------------------------------------------------
 
 
-# Trace CSVs are read and written CHUNK_ROWS rows at a time, so the text,
-# cell and formatting temporaries stay bounded on long traces.
+# Trace CSVs are written CHUNK_ROWS rows at a time, so the cell and
+# formatting temporaries stay bounded on long traces.
 CHUNK_ROWS = 1024
 
 _HEADER_LINE = ",".join(TRACE_COLUMNS) + "\r\n"
+
+# str(v) at index v for every int8 v (negative indices count from the end)
+_INT8_TEXT = tuple(map(str, range(128))) + tuple(map(str, range(-128, 0)))
 
 
 def write_trace_csv(path, trace: Trace, x_values=None) -> None:
@@ -405,104 +410,94 @@ def write_trace_csv(path, trace: Trace, x_values=None) -> None:
 
     Rows end in CRLF; floats are written as ``repr``, ``in_switch`` as
     1/0 and an absent x (with its err_abs) as an empty cell. The columns are
-    formatted whole, CHUNK_ROWS rows per write.
+    formatted from Python scalars (one ``tolist`` each), CHUNK_ROWS rows per
+    write.
     """
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="ascii", newline="") as fh:
+    with _Replacing(path, encoding="ascii", newline="") as fh:
         fh.write(_HEADER_LINE)
         for lo in range(0, len(trace), CHUNK_ROWS):
             rows = slice(lo, lo + CHUNK_ROWS)
-            ks, xs, ys = trace.k[rows], trace.x[rows], trace.y[rows]
+            ks, xs, ys = trace.k[rows].tolist(), trace.x_list(rows), trace.y[rows].tolist()
             if x_values is not None:
                 xs = [x_values[k] if x is None else x for k, x in zip(ks, xs)]
             cells = zip(
                 map(str, ks),
-                map(repr, trace.t[rows]),
+                map(repr, trace.t[rows].tolist()),
                 ["" if x is None else repr(x) for x in xs],
                 map(repr, ys),
-                map(str, trace.h[rows]),
-                map(repr, trace.m[rows]),
-                ["1" if s else "0" for s in trace.in_switch[rows]],
+                map(_INT8_TEXT.__getitem__, trace.h[rows].tolist()),
+                map(repr, trace.m[rows].tolist()),
+                ["1" if s else "0" for s in trace.in_switch[rows].tolist()],
                 ["" if x is None else repr(abs(x - y)) for x, y in zip(xs, ys)],
             )
             fh.write("\r\n".join(map(",".join, cells)))
             fh.write("\r\n")
-    os.replace(tmp, path)
 
 
 def read_trace_csv(path, params: CodecParams) -> Trace:
     """Read a trace CSV back; codec params come from the caller (the CSV
-    carries none). Raises FormatError naming the file, and the offending row
-    where there is one.
-
-    Files in the form :func:`write_trace_csv` writes are parsed column-wise;
-    any other file (LF line ends, quoted cells, short or long rows, ...) is
-    read by the row loop, which alone names the row of an error.
+    carries none). Files in the writer's form are parsed by numpy's C
+    tokeniser; any other (LF line ends, quotes, whitespace, a mix of empty
+    and filled x cells, ...) goes to the row loop. Raises FormatError naming
+    the file, and the row loop names the offending row where there is one.
     """
-    columns = _read_canonical_csv(path)
-    if columns is None:
-        columns = _read_csv_rows(path)
-    k, t, x, y, h, m, in_switch = columns
-    return Trace.from_columns(
-        params, k=k, t=t, x=x, y=y, h=h, m=m,
-        in_switch=in_switch, substituted=[False] * len(k),
-    )
+    columns = _read_canonical_csv(path) or _read_csv_rows(path)
+    return Trace.from_columns(params, **columns, substituted=None)
 
 
-def _read_canonical_csv(path) -> Optional[tuple[list, ...]]:
-    """The columns of a file in the writer's form, or None for any other file:
-    ASCII with the fixed header, every line ending in CRLF and holding
-    exactly 8 cells, no quote or NUL, ``k`` running 0..n-1 and ``h`` +-1.
-    Cells are converted as the row loop converts them. (A NUL is left to the
-    row loop because ``csv`` rejects it before Python 3.11.)"""
-    columns: tuple[list, ...] = ([], [], [], [], [], [], [])
-    k_col, t_col, x_col, y_col, h_col, m_col, switch_col = columns
+# The bytes a trace CSV in the writer's form holds after its header: digits,
+# the float syntax of repr (signs, point, exponent, nan, inf), commas, CRLF.
+_CANONICAL_BYTES = b"0123456789+-.eEnNaAiIfFtTyY,\r\n"
+
+
+def _read_canonical_csv(path) -> Optional[dict]:
+    """The columns of a file in the writer's form, or None where the row loop
+    might read other columns from it.
+
+    After the header, no byte outside ``_CANONICAL_BYTES`` may occur (so no
+    quote, ``#``, whitespace or non-ASCII). ``np.loadtxt``'s number cells
+    accept a subset of what ``int``/``float`` accept, with equal values; a
+    stray CR or a short row fails it, a blank line shows in the row count.
+    ``h`` and ``in_switch`` are matched as text (loadtxt reads ``+1`` as 1),
+    ``k`` must be plain digits (older numpy parses an int cell through
+    float) running 0..n-1, and the x cells must be all empty or all numbers.
+    """
     with open(path, "rb") as fh:
-        if fh.readline() != _HEADER_LINE.encode("ascii"):
-            return None
-        while True:
-            chunk = b"".join(islice(fh, CHUNK_ROWS))
-            if not chunk:
-                # exact-size copies: a trace keeps no list growth slack
-                return tuple(column[:] for column in columns)
-            try:
-                text = chunk.decode("ascii")
-                lines = text.split("\r\n")
-                tail = lines.pop()  # "" when the chunk ends in CRLF
-                n = len(lines)
-                if (
-                    tail
-                    or text.count("\n") != n
-                    or text.count("\r") != n
-                    or '"' in text
-                    or "\0" in text
-                    or list(map(str.count, lines, repeat(","))).count(7) != n
-                ):
-                    return None
-                cells = ",".join(lines).split(",")
-                base = len(k_col)
-                ks = list(map(int, cells[0::8]))
-                hs = list(map(int, cells[4::8]))
-                if ks != list(range(base, base + n)) or hs.count(1) + hs.count(-1) != n:
-                    return None
-                xs = cells[2::8]
-                xs = [float(x) if x else None for x in xs] if "" in xs else list(map(float, xs))
-                t_col += map(float, cells[1::8])
-                y_col += map(float, cells[3::8])
-                m_col += map(float, cells[5::8])
-            except ValueError:  # a cell the row loop rejects, or a non-ASCII byte
-                return None
-            k_col += ks
-            x_col += xs
-            h_col += hs
-            switch_col += map("1".__eq__, cells[6::8])
+        data = fh.read()
+    header = _HEADER_LINE.encode("ascii")
+    if not data.startswith(header) or (
+            data.translate(None, _CANONICAL_BYTES) != header.translate(None, _CANONICAL_BYTES)):
+        return None
+    rows = data.count(b"\n") - data.endswith(b"\n")  # lines after the header
+    x_empty = data[len(header):data.find(b"\n", len(header))].split(b",")[2:3] == [b""]
+    width = len(str(rows)) + 1  # one more than any k in range, so none is cut
+    fields = [("k", "i8"), ("k_text", f"S{width}"), ("t", "f8"), ("x", "S1" if x_empty else "f8"),
+              ("y", "f8"), ("h", "S3"), ("m", "f8"), ("in_switch", "S2")]
+    try:
+        table = np.zeros(0, fields) if not rows else np.loadtxt(
+            io.BytesIO(data), dtype=fields, delimiter=",", comments=None, skiprows=1,
+            usecols=(0, 0, 1, 2, 3, 4, 5, 6), encoding="ascii", ndmin=1)
+    except ValueError:
+        return None
+    k_text = np.ascontiguousarray(table["k_text"]).view(np.uint8).reshape(-1, width)
+    h = table["h"]
+    if (
+        k_text[:, -1].any()
+        or ((k_text - 48 > 9) & (k_text > 0)).any()  # a byte other than a digit or padding
+        or not np.array_equal(table["k"], np.arange(rows))  # a skipped blank line fails this too
+        or np.count_nonzero(h == b"1") + np.count_nonzero(h == b"-1") != rows
+        or (x_empty and (table["x"] != b"").any())
+    ):
+        return None
+    return dict(k=table["k"].copy(), t=table["t"].copy(), x=None if x_empty else table["x"].copy(),
+                y=table["y"].copy(), h=np.where(h == b"1", PLUS, MINUS).astype(np.int8),
+                m=table["m"].copy(), in_switch=table["in_switch"] == b"1")  # the row loop's rule
 
 
-def _read_csv_rows(path) -> tuple[list, ...]:
+def _read_csv_rows(path) -> dict:
     """The row loop behind :func:`read_trace_csv`: ``csv.reader`` over the
     file, one converted and checked row at a time."""
-    columns: tuple[list, ...] = ([], [], [], [], [], [], [])
-    k_col, t_col, x_col, y_col, h_col, m_col, switch_col = columns
+    rows: list[tuple] = []
     with open(path, "r", encoding="ascii", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -512,41 +507,28 @@ def _read_csv_rows(path) -> tuple[list, ...]:
             if header != TRACE_COLUMNS:
                 raise FormatError(f"{path}: row 1: header {header} != {TRACE_COLUMNS}")
             for i, row in enumerate(reader, start=2):
-                try:
-                    k = int(row[0])
-                    t = float(row[1])
-                    x = float(row[2]) if row[2] else None
-                    y = float(row[3])
-                    h = int(row[4])
-                    m = float(row[5])
-                    in_switch = row[6] == "1"
+                try:  # k, t, x, y, h, m, in_switch
+                    cells = (int(row[0]), float(row[1]), float(row[2]) if row[2] else None,
+                             float(row[3]), int(row[4]), float(row[5]), row[6] == "1")
                 except (IndexError, ValueError) as exc:
                     raise FormatError(f"{path}: row {i}: {exc}") from exc
-                if h not in (1, -1):
+                if cells[4] not in (1, -1):
                     raise FormatError(f"{path}: row {i}: h must be +1 or -1, got {row[4]}")
-                if k != len(k_col):
-                    raise FormatError(f"{path}: row {i}: step index {k}, expected {len(k_col)}")
-                k_col.append(k)
-                t_col.append(t)
-                x_col.append(x)
-                y_col.append(y)
-                h_col.append(h)
-                m_col.append(m)
-                switch_col.append(in_switch)
+                if cells[0] != len(rows):
+                    raise FormatError(f"{path}: row {i}: step index {cells[0]}, expected {len(rows)}")
+                rows.append(cells)
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: not an ASCII trace CSV: {exc}") from exc
         except csv.Error as exc:
             raise FormatError(f"{path}: row {reader.line_num}: {exc}") from exc
-    return columns
+    return dict(zip(("k", "t", "x", "y", "h", "m", "in_switch"), list(zip(*rows)) or [()] * 7))
 
 
 def write_json(path, document: dict) -> None:
     """Sorted-key JSON with a trailing newline, written atomically."""
-    tmp = f"{path}.tmp"
     text = json.dumps(document, sort_keys=True, indent=2) + "\n"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with _Replacing(path, encoding="utf-8") as fh:
         fh.write(text)
-    os.replace(tmp, path)
 
 
 def simulation_document(result: SimulationResult) -> dict:
@@ -560,8 +542,3 @@ def simulation_document(result: SimulationResult) -> dict:
         "n_erasures": len(result.received.erased_positions()),
         "verification": result.report.to_dict(),
     }
-
-
-def consistency_violations(trace: Trace) -> list[Violation]:
-    """check_trace problems as ``trace_consistency`` violations."""
-    return [Violation("trace_consistency", k, msg) for k, msg in check_trace(trace)]

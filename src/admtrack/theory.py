@@ -158,18 +158,15 @@ def detect_settling(
         )
     _check_grids(trace, x_samples)
     bound = steady_error_bounds(params, rate)[0]
-    return _first_settled(trace, x_samples.values, start_index, len(trace) - 1, bound)
+    return _first_settled(trace, np.array(x_samples.values), start_index, len(trace) - 1, bound)
 
 
-def _first_settled(trace: Trace, xs, first: int, last: int, sample_bound: float) -> Optional[int]:
+def _first_settled(trace: Trace, xs: np.ndarray, first: int, last: int, sample_bound: float) -> Optional[int]:
     """First k in [first, last] that meets the settling predicate (slope
     exactly on the floor, sample error inside the steady band), or None."""
-    mbar = trace.params.mbar
-    ys, ms = trace.y, trace.m
-    for k in range(first, last + 1):
-        if ms[k] == mbar and abs(xs[k] - ys[k]) <= sample_bound:
-            return k
-    return None
+    rows = slice(first, last + 1)
+    settled = (trace.m[rows] == trace.params.mbar) & (np.abs(xs[rows] - trace.y[rows]) <= sample_bound)
+    return first + int(settled.argmax()) if settled.any() else None
 
 
 def _check_grids(trace: Trace, x_samples: SampledSignal) -> None:
@@ -240,10 +237,7 @@ def _check_acquisition(report, trace, xs, growth, switches) -> None:
     report.checked.append("acquisition")
     params = trace.params
     start = report.start_index
-    if start == 0:
-        start_params = params
-    else:
-        start_params = replace(params, y0=trace.y[start], m0=trace.m[start])
+    start_params = params if start == 0 else replace(params, y0=trace.y[start].item(), m0=trace.m[start].item())
     gap = abs(start_params.y0 - xs[start])
     report.tau_bound = start + acquisition_bound(start_params, gap, growth)
     if report.tau is not None:
@@ -282,20 +276,17 @@ def _check_settling_and_steady(report, trace, x_samples, rate, switches, factor)
         report.not_applicable.append(("steady_state", reason))
         return
 
-    report.eta = _first_settled(
-        trace, x_samples.values, report.start_index, n - 1, report.sample_error_bound
-    )
+    xs = np.array(x_samples.values)
+    report.eta = _first_settled(trace, xs, report.start_index, n - 1, report.sample_error_bound)
 
     # settling: a floored, in-band step must exist within the window past tau
     if report.tau is None:
         report.not_applicable.append(("settling", "no switch within the horizon"))
     else:
-        window = settling_window(trace.m[report.tau], params)
+        window = settling_window(trace.m[report.tau].item(), params)
         report.eta_window_end = report.tau + window
         last = min(report.eta_window_end, n - 1)
-        settled = _first_settled(
-            trace, x_samples.values, report.tau, last, report.sample_error_bound
-        )
+        settled = _first_settled(trace, xs, report.tau, last, report.sample_error_bound)
         if settled is not None:
             report.checked.append("settling")
         elif report.eta_window_end <= n - 1:
@@ -324,31 +315,27 @@ def _check_steady(report, trace, x_samples, switches, factor) -> None:
     params = trace.params
     n = report.n_steps
     eta = report.eta
-    xs = x_samples.values
+    xs = np.array(x_samples.values[eta:])
     floor = params.mbar
     lifted = params.a * params.mbar  # the only other steady slope value
 
     report.checked += ["step_size_set", "switch_floor", "sample_error"]
     bound = report.sample_error_bound
-    m = np.array(trace.m[eta:], dtype=float)
+    m = trace.m[eta:]
     off_floor = m != floor
     bad_set = off_floor & (m != lifted)
-    bad_floor = off_floor & np.array(trace.in_switch[eta:], dtype=bool)
-    bad_error = np.abs(np.array(xs[eta:], dtype=float) - np.array(trace.y[eta:], dtype=float)) > bound
-    # details format the list floats: numpy 2 scalars repr differently
+    bad_floor = off_floor & trace.in_switch[eta:]
+    err = np.abs(xs - trace.y[eta:])
+    bad_error = err > bound
+    # details format Python floats: numpy 2 scalars repr differently
     for i in np.flatnonzero(bad_set | bad_floor | bad_error).tolist():
         k = eta + i
         if bad_set[i]:
-            report.violations.append(
-                Violation("step_size_set", k, f"slope {trace.m[k]!r} not in {{mbar, a*mbar}}")
-            )
+            report.violations.append(Violation("step_size_set", k, f"slope {m[i].item()!r} not in {{mbar, a*mbar}}"))
         if bad_floor[i]:
-            report.violations.append(
-                Violation("switch_floor", k, f"switch slope {trace.m[k]!r} != mbar {floor!r}")
-            )
+            report.violations.append(Violation("switch_floor", k, f"switch slope {m[i].item()!r} != mbar {floor!r}"))
         if bad_error[i]:
-            err = abs(xs[k] - trace.y[k])
-            report.violations.append(Violation("sample_error", k, f"|x - y| = {err} > {bound}"))
+            report.violations.append(Violation("sample_error", k, f"|x - y| = {err[i].item()} > {bound}"))
 
     if x_samples.spec is None:
         report.not_applicable.append(
@@ -370,7 +357,7 @@ def _check_steady(report, trace, x_samples, switches, factor) -> None:
     report.checked.append("symbol_run")
     # runs are counted from eta + 1; a run reaches four symbols where three
     # equal neighbouring pairs in a row follow an unequal pair (or eta + 1)
-    hs = np.array(trace.h[eta + 1:])
+    hs = trace.h[eta + 1:]
     same = np.concatenate(([False], hs[1:] == hs[:-1]))
     fourth = same[1:-2] & same[2:-1] & same[3:] & ~same[:-3]
     for i in np.flatnonzero(fourth).tolist():
@@ -385,10 +372,8 @@ def _check_interval_error(report, trace, spec, delta, factor) -> None:
     eta = report.eta
     count = len(trace) - eta
     ks = np.arange(eta, eta + count, dtype=np.int64)
-    rec_k = np.array(trace.k[eta:], dtype=np.int64)
-    rec_t = np.array(trace.t[eta:], dtype=float)
-    y = np.array(trace.y[eta:], dtype=float)
-    hm = np.array(trace.h[eta:], dtype=float) * np.array(trace.m[eta:], dtype=float)
+    rec_k, rec_t, y = trace.k[eta:], trace.t[eta:], trace.y[eta:]
+    hm = trace.h[eta:] * trace.m[eta:]
     bound = report.interval_error_bound
     for lo in range(0, count, CHUNK_CELLS):
         rows = slice(lo, lo + CHUNK_CELLS)
@@ -400,7 +385,7 @@ def _check_interval_error(report, trace, spec, delta, factor) -> None:
             i, j = np.unravel_index(np.argmax(outside), t.shape)
             row = eta + lo + i
             raise DomainError(
-                f"t={float(t[i, j])} outside cell [{trace.t[row]}, {float(t_next[i, 0])}] of step {trace.k[row]}"
+                f"t={float(t[i, j])} outside cell [{trace.t[row].item()}, {float(t_next[i, 0])}] of step {trace.k[row].item()}"
             )
         elapsed = np.where(t == t_next, delta, t - t0)
         err = np.abs(spec.at_array(t) - (y[rows, None] + hm[rows, None] * elapsed))

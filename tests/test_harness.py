@@ -1,6 +1,7 @@
 """Experiment orchestration, file I/O, and the command-line interface."""
 
 import csv
+import functools
 import json
 import math
 import os
@@ -23,6 +24,8 @@ from admtrack import (
     ParameterError,
     Piecewise,
     Ramp,
+    Trace,
+    decode_bitstream,
     load_config,
     read_trace_csv,
     recovery_steps,
@@ -32,7 +35,8 @@ from admtrack import (
     write_trace_csv,
 )
 from admtrack.cli import _build_parser, main
-from admtrack.harness import config_from_dict
+import admtrack.harness as harness
+from admtrack.harness import config_from_dict, write_json
 
 from conftest import HAND_BODY
 
@@ -639,6 +643,123 @@ def test_decode_of_any_odm_file_exits_0_or_2(text):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         assert main(["decode", path, "--out", tmp]) in (0, 2)
+
+
+# --- trace CSV reader fuzz ------------------------------------------------------
+#
+# read_trace_csv parses files in the writer's form with numpy's C tokeniser and
+# sends every other file to the row loop _read_csv_rows. On any file the two
+# must agree: the same records, or the same FormatError.
+
+SINE_STEADY = CONFIGS / "sine_steady.json"
+
+
+@functools.cache
+def _written_trace_csvs() -> tuple[tuple[str, ...], ...]:
+    """The lines of sine_steady's trace CSV as simulate writes it (x filled)
+    and as decode writes it (x cells all empty)."""
+    result = run_simulation(load_config(SINE_STEADY))
+    files = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for x_values in (result.samples.values, None):
+            path = os.path.join(tmp, "trace.csv")
+            write_trace_csv(path, result.decoder_trace, x_values=x_values)
+            with open(path, encoding="ascii", newline="") as fh:
+                files.append(tuple(fh.read().split("\r\n")[:-1]))
+    return tuple(files)
+
+
+# cell texts that float()/int() and np.loadtxt may read differently, or not at
+# all; "\udce9" becomes the single non-UTF-8 byte 0xe9
+CSV_CELLS = ["", "+1", "-1", "01", "00", " 1", "1 ", "\t1", "1.0", "4.0", "1e5", "0x1p3", "nan",
+             "-nan", "NaN", "inf", "-inf", "Infinity", "1_0", "1e400", "-0", '"1"', '""', "#1",
+             "1#", "\x00", "\u00e9", "\u0663", "\udce9", "10", "-10", "2", "300", "abc"]
+CSV_AFFIXES = ["+", "-", "0", "00", " ", "\t", '"', "#", "\x00", "\udce9", "\r", "\n"]
+
+
+@st.composite
+def trace_csv_files(draw):
+    lines = list(draw(st.sampled_from(_written_trace_csvs())))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(1, len(lines) - 1))
+        cells = lines[i].split(",")
+        j = draw(st.integers(0, len(cells) - 1))
+        edit = draw(st.sampled_from(["cell", "prefix", "suffix", "drop", "add", "blank", "x_all"]))
+        if edit == "cell":
+            cells[j] = draw(st.sampled_from(CSV_CELLS))
+        elif edit == "prefix":
+            cells[j] = draw(st.sampled_from(CSV_AFFIXES)) + cells[j]
+        elif edit == "suffix":
+            cells[j] += draw(st.sampled_from(CSV_AFFIXES))
+        elif edit == "drop":  # 7 cells in the row
+            del cells[j]
+        elif edit == "add":  # 9 cells
+            cells.insert(j, draw(st.sampled_from(CSV_CELLS)))
+        elif edit == "blank":
+            lines.insert(i, draw(st.sampled_from(["", " ", "#"])))
+        else:  # one text in every row's x cell: all empty, or all the same number
+            value = draw(st.sampled_from(["", "1.5"]))
+            lines[1:] = [",".join(row[:2] + [value] + row[3:]) for row in (r.split(",") for r in lines[1:])]
+        if edit not in ("blank", "x_all"):
+            lines[i] = ",".join(cells)
+    ending = draw(st.sampled_from(["\r\n"] * 6 + ["\n", "\r"]))  # mostly the writer's
+    text = ending.join(lines) + draw(st.sampled_from([ending, "", "\r\n"]))
+    return text.encode("utf-8", "surrogateescape")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=trace_csv_files())
+def test_trace_csv_reader_agrees_with_the_row_loop_on_any_file(data):
+    params = load_config(SINE_STEADY).codec
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            want = Trace.from_columns(params, **harness._read_csv_rows(path), substituted=None)
+        except FormatError as exc:
+            with pytest.raises(FormatError) as got:
+                read_trace_csv(path, params)
+            assert str(got.value) == str(exc)
+        else:  # repr: a nan cell reads as nan on both sides, and nan != nan
+            assert repr(read_trace_csv(path, params).records) == repr(want.records)
+        assert main(["verify", "--config", str(SINE_STEADY), "--trace", path, "--out", tmp]) in (0, 1, 2)
+
+
+class TestAtomicWrites:
+    """A writer that fails, the final move included, leaves no temp file."""
+
+    def test_simulate_onto_a_directory_exits_2_and_leaves_no_temp_file(self, tmp_path, capsys):
+        (tmp_path / "sine_trace.csv").mkdir()
+        assert main(["simulate", "--config", str(SINE_STEADY), "--out", str(tmp_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["sine_trace.csv"]
+
+    @pytest.mark.parametrize("writer", ["trace_csv", "json", "bitstream"])
+    def test_a_failed_move_removes_the_temp_file(self, tmp_path, monkeypatch, writer):
+        params = CodecParams(y0=0.0, m0=1.0, mbar=1.0, a=2.0, delta=1.0)
+        bits = [1, 1, -1, 1]
+        write = {
+            "trace_csv": lambda path: write_trace_csv(path, decode_bitstream(params, bits)),
+            "json": lambda path: write_json(path, {"a": 1}),
+            "bitstream": lambda path: write_bitstream(path, params, bits),
+        }[writer]
+
+        def failed_move(src, dst):
+            raise OSError("the move failed")
+
+        monkeypatch.setattr(os, "replace", failed_move)
+        with pytest.raises(OSError, match="the move failed"):
+            write(tmp_path / "out")
+        assert os.listdir(tmp_path) == []
+
+    def test_a_failed_write_removes_the_temp_file(self, tmp_path):
+        params = CodecParams(y0=0.0, m0=1.0, mbar=1.0, a=2.0, delta=1.0)
+        (tmp_path / "trace.csv").write_text("kept")
+        with pytest.raises(IndexError):  # x_values shorter than the trace
+            write_trace_csv(tmp_path / "trace.csv", decode_bitstream(params, [1, -1, 1]), x_values=(0.5,))
+        assert os.listdir(tmp_path) == ["trace.csv"]
+        assert (tmp_path / "trace.csv").read_text() == "kept"
 
 
 class TestCliRuleOverride:

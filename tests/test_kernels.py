@@ -37,6 +37,7 @@ from admtrack import (
     GrowthBound,
     GrowthViolation,
     NumericError,
+    ParameterError,
     Piecewise,
     Ramp,
     ReceivedStream,
@@ -522,7 +523,7 @@ def assert_same_columns(trace, records):
     """Every column equal to the oracle's records, floats bit for bit."""
     assert len(trace) == len(records)
     for name in Trace.COLUMNS:
-        column = getattr(trace, name)
+        column = trace.x_list() if name == "x" else getattr(trace, name).tolist()
         want = [getattr(r, name) for r in records]
         if name in ("t", "y", "m"):
             assert_bitwise_equal(column, want)
@@ -682,7 +683,8 @@ def test_check_trace_matches_oracle_on_tampered_traces(field, seed):
 
 
 @pytest.mark.parametrize("earlier_problem", [False, True])
-# "10.0" is no number: the comparison rule raises TypeError on it, as on "x"
+# "10.0" is no number: the oracle's comparison rule raises TypeError on it, as
+# on "x"; Trace refuses both when it is built, before check_trace runs
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "x", "10.0"])
 def test_check_trace_non_finite_sample_raises_like_oracle(bad, earlier_problem):
     params = CodecParams(y0=0.0, m0=1.0, mbar=1.0, a=2.0, delta=1.0)
@@ -691,6 +693,12 @@ def test_check_trace_non_finite_sample_raises_like_oracle(bad, earlier_problem):
     if earlier_problem:
         records[3] = replace(records[3], y=99.0)
     records[6] = replace(records[6], x=bad)
+    if isinstance(bad, str):
+        with pytest.raises(TypeError):
+            oracle_check_trace(params, records)
+        with pytest.raises(ParameterError, match="trace column x"):
+            Trace(params=params, records=records)
+        return
     outcome = []
     for check in (lambda: oracle_check_trace(params, records),
                   lambda: check_trace(Trace(params=params, records=records))):
@@ -698,6 +706,50 @@ def test_check_trace_non_finite_sample_raises_like_oracle(bad, earlier_problem):
             check()
         outcome.append((type(error.value), str(error.value)))
     assert outcome[0] == outcome[1]
+
+
+@pytest.mark.parametrize(
+    "column,bad",
+    [("x", "10.0"), ("y", "1.5"), ("t", None), ("m", object()), ("h", 2.5), ("h", 300),
+     ("h", -129), ("k", 1.5), pytest.param("k", 10**400, id="k-10**400"), ("in_switch", 2),
+     ("substituted", "x")],
+)
+def test_from_columns_refuses_a_column_it_cannot_convert_exactly(hand_params, hand_samples, column, bad):
+    """A string, an object, a fraction or an out-of-range value for an
+    integer column is refused when the trace is built, not truncated or
+    wrapped (2.5 would read as 2, 300 as 44)."""
+    _, trace = encode_signal(hand_params, hand_samples)
+    columns = columns_of(trace)
+    columns[column][3] = bad
+    with pytest.raises(ParameterError, match=f"trace column {column}"):
+        Trace.from_columns(hand_params, **columns)
+    records = list(trace.records)
+    records[3] = replace(records[3], **{column: bad})
+    with pytest.raises(ParameterError, match=f"trace column {column}"):
+        Trace(hand_params, records)
+
+
+def test_trace_columns_must_be_complete_and_of_equal_length(hand_params, hand_samples):
+    _, trace = encode_signal(hand_params, hand_samples)
+    columns = columns_of(trace)
+    columns["y"] = columns["y"][:-1]
+    with pytest.raises(ParameterError, match="differ in length"):
+        Trace.from_columns(hand_params, **columns)
+    del columns["y"]
+    with pytest.raises(ParameterError, match="exactly"):
+        Trace.from_columns(hand_params, **columns)
+
+
+def test_a_zero_symbol_is_left_to_the_codec(hand_params, hand_samples):
+    """An h of 0 converts exactly, so the trace builds and check_trace's
+    decode raises the codec's NumericError, as on a list of symbols."""
+    _, trace = encode_signal(hand_params, hand_samples)
+    columns = columns_of(trace)
+    columns["h"][4] = 0
+    zero = Trace.from_columns(hand_params, **columns)
+    assert zero.h.dtype == np.int8 and zero.records[4].h == 0
+    with pytest.raises(NumericError, match=r"binary symbol must be \+1 or -1, got 0$"):
+        check_trace(zero)
 
 
 def test_check_trace_reports_every_problem_in_row_order(hand_params, hand_samples):
@@ -747,7 +799,7 @@ def test_trace_from_records_keeps_the_records_view(hand_params, hand_samples):
     _, trace = encode_signal(hand_params, hand_samples)
     rebuilt = Trace(params=hand_params, records=trace.records[:5])
     assert rebuilt.records == trace.records[:5]
-    assert rebuilt.y == trace.y[:5] and rebuilt.k == [0, 1, 2, 3, 4]
+    assert rebuilt.y.tolist() == trace.y[:5].tolist() and rebuilt.k.tolist() == [0, 1, 2, 3, 4]
     assert rebuilt.records is rebuilt.records
     assert Trace(hand_params, trace.records) == trace
 
@@ -796,7 +848,7 @@ def assert_decodes_like_oracle(params, symbols):
     if want is not None:
         assert_same_columns(trace, want)
         for name, kind in COLUMN_TYPES.items():
-            assert all(type(v) is kind for v in getattr(trace, name)), name
+            assert all(type(v) is kind for v in getattr(trace, name).tolist()), name
     return trace
 
 
@@ -837,7 +889,7 @@ def test_scan_edge_cases_decode_like_oracle(params, bits):
 def test_symbols_equal_to_one_decode_to_int_columns(hand_params):
     symbols = [True, 1.0, np.int8(-1), -1.0, PLUS, np.float64(1.0), MINUS]
     trace = assert_decodes_like_oracle(hand_params, symbols)
-    assert trace.h == [1, 1, -1, -1, 1, 1, -1]
+    assert trace.h.tolist() == [1, 1, -1, -1, 1, 1, -1]
 
 
 @pytest.mark.parametrize("position", [0, 5, 9])
@@ -1126,7 +1178,7 @@ def test_misaligned_rows_read_like_the_row_loop(tmp_path):
     path = tmp_path / "misaligned.csv"
     path.write_bytes(b"".join(line + b"\r\n" for line in misaligned(list(lines), 20)))
     trace = read_trace_csv(path, params)
-    assert trace.y[20] == 1.0 and trace.k == list(range(len(lines) - 1))
+    assert trace.y[20] == 1.0 and trace.k.tolist() == list(range(len(lines) - 1))
 
 
 # --- steady-state scans ---------------------------------------------------------
@@ -1144,7 +1196,7 @@ def oracle_check_steady(report, trace, x_samples, switches, factor):
     floor = params.mbar
     lifted = params.a * params.mbar
     report.checked += ["step_size_set", "switch_floor", "sample_error"]
-    rows = zip(trace.m[eta:], trace.in_switch[eta:], trace.y[eta:], xs[eta:])
+    rows = ((r.m, r.in_switch, r.y, x) for r, x in zip(trace.records[eta:], xs[eta:]))
     for k, (m, in_switch, y, x) in enumerate(rows, start=eta):
         if m != floor and m != lifted:
             report.violations.append(
@@ -1175,7 +1227,7 @@ def oracle_check_steady(report, trace, x_samples, switches, factor):
                 theory.Violation("switch_gap", s, f"no further switch in ({s}, {s + 3}]"))
     report.checked.append("symbol_run")
     run = 1
-    hs = trace.h
+    hs = [r.h for r in trace.records]
     for k in range(eta + 2, n):
         run = run + 1 if hs[k] == hs[k - 1] else 1
         if run == 4:
@@ -1201,7 +1253,8 @@ def steady_run():
 
 
 def columns_of(trace):
-    return {name: list(getattr(trace, name)) for name in Trace.COLUMNS}
+    return {name: trace.x_list() if name == "x" else getattr(trace, name).tolist()
+            for name in Trace.COLUMNS}
 
 
 def break_step_size_set(columns, values, k, params):

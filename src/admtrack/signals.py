@@ -1,14 +1,14 @@
 """Test-signal definitions, grid sampling, and empirical regularity bounds.
 
-Signals are small frozen dataclasses. ``at(t)`` evaluates one time and
-``at_array(t)`` a whole array of times; ``at_array`` must equal ``at`` bit
-for bit at every point (same float operations in the same order), because
-the certificates and the verifier evaluate signals through ``at_array``
-while the sampler uses ``at``. A new signal kind must provide both.
-``Piecewise`` segments run on local time (a segment starting at ``s``
-evaluates its child at ``t - s``) and are right-continuous at their
-boundaries, so a jump placed on a grid point is seen by the sampler at its
-new value.
+Signals are small frozen dataclasses. Each kind has one evaluator,
+``at_array(t)`` over an array of times; the sampler, the certificates and
+the verifier all go through it, on grid times ``k*delta`` computed one way
+(``np.arange(n) * delta``, the first column of :func:`cell_grid`). The
+shared ``at(t)`` is ``at_array`` on one time, so a new kind defines
+``at_array`` only. ``Piecewise`` segments run on local time (a segment
+starting at ``s`` evaluates its child at ``t - s``) and are
+right-continuous at their boundaries, so a jump placed on a grid point is
+seen by the sampler at its new value.
 
 Two empirical regularity certificates back the verification machinery:
 
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from typing import Optional, Union
 
@@ -64,7 +63,14 @@ def _check_float_range(what: str, value) -> None:
         raise ParameterError(f"{what} is an int of {len(str(abs(value)))} digits, beyond float range")
 
 
-class _FloatFields:
+class _Signal:
+    def at(self, t: float) -> float:
+        """x(t) at one time as a Python float: ``at_array`` on that time."""
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, as at_array gives
+            return self.at_array(np.array([t], dtype=float))[0].item()
+
+
+class _FloatFields(_Signal):
     """Checks every field with :func:`_check_float_range`; stores them as given."""
 
     def __post_init__(self) -> None:
@@ -76,9 +82,6 @@ class _FloatFields:
 class Constant(_FloatFields):
     level: float
 
-    def at(self, t: float) -> float:
-        return self.level
-
     def at_array(self, t: np.ndarray) -> np.ndarray:
         return np.full(t.shape, self.level, dtype=float)
 
@@ -87,9 +90,6 @@ class Constant(_FloatFields):
 class Ramp(_FloatFields):
     slope: float
     intercept: float
-
-    def at(self, t: float) -> float:
-        return self.intercept + self.slope * t
 
     def at_array(self, t: np.ndarray) -> np.ndarray:
         return self.intercept + self.slope * t
@@ -101,22 +101,12 @@ class Sine(_FloatFields):
     frequency_hz: float
     phase: float = 0.0
 
-    def at(self, t: float) -> float:
-        try:
-            return self.amplitude * math.sin(2.0 * math.pi * self.frequency_hz * t + self.phase)
-        except ValueError:  # math.sin(+-inf); at_array gives nan there
-            raise _phase_overflow(t) from None
-
     def at_array(self, t: np.ndarray) -> np.ndarray:
         return self.amplitude * np.sin(2.0 * math.pi * self.frequency_hz * t + self.phase)
 
 
-def _phase_overflow(t: float) -> NumericError:
-    return NumericError(f"sine phase overflowed at t={t!r}")
-
-
 @dataclass(frozen=True)
-class Piecewise:
+class Piecewise(_Signal):
     """Segments of (start_time, signal); each runs on its own local clock."""
 
     segments: tuple[tuple[float, "SignalSpec"], ...]
@@ -135,14 +125,6 @@ class Piecewise:
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ParameterError(f"segment start times must strictly increase: {list(starts)}")
         object.__setattr__(self, "_starts", starts)
-
-    def at(self, t: float) -> float:
-        i = max(bisect_right(self._starts, t) - 1, 0)
-        start, spec = self.segments[i]
-        try:
-            return spec.at(t - start)
-        except NumericError:  # name the caller's time, not the segment's local one
-            raise _phase_overflow(t) from None
 
     def at_array(self, t: np.ndarray) -> np.ndarray:
         index = np.maximum(np.searchsorted(self._starts, t, side="right") - 1, 0)
@@ -219,7 +201,12 @@ def sample_count(delta: float, horizon: float) -> int:
 
 def restart_index(delta: float, time: float) -> int:
     """Smallest k with k*delta >= time, on the actual float grid."""
-    k = max(int(math.ceil(time / delta)), 0)
+    steps = time / delta
+    # from 2**52 steps on, k + 1 can round to k as a float and the nudges below
+    # would never end; nan and inf fail the test too
+    if not steps < 2.0**52:
+        raise ParameterError(f"time {time!r} is {steps!r} steps of {delta!r}; a grid index must be below 2**52")
+    k = math.ceil(max(steps, 0.0))
     # float division can land one cell off the grid; nudge back
     while k * delta < time:
         k += 1
@@ -230,9 +217,13 @@ def restart_index(delta: float, time: float) -> int:
 
 def sample(spec: SignalSpec, delta: float, horizon: float) -> SampledSignal:
     """Evaluate the signal on the half-open grid [0, horizon)."""
-    n = sample_count(delta, horizon)
-    values = tuple(spec.at(k * delta) for k in range(n))
-    return SampledSignal(delta=delta, values=values, spec=spec)
+    t = np.arange(sample_count(delta, horizon)) * delta  # bit-equal to k*delta
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, refused below
+        x = spec.at_array(t)
+    bad = ~np.isfinite(x)
+    if bad.any():
+        raise NumericError(f"signal is not finite at t={t[bad.argmax()].item()!r}")
+    return SampledSignal(delta=delta, values=tuple(x.tolist()), spec=spec)
 
 
 def cell_grid(ks: np.ndarray, delta: float, factor: int) -> np.ndarray:
@@ -240,7 +231,10 @@ def cell_grid(ks: np.ndarray, delta: float, factor: int) -> np.ndarray:
     one row per cell: ``k*delta + j*(delta/factor)`` for j < factor, then
     ``(k+1)*delta``, so both endpoints sit on the grid exactly."""
     ks = np.asarray(ks, dtype=np.int64)
-    grid = np.empty((len(ks), factor + 1))
+    try:
+        grid = np.empty((len(ks), factor + 1))
+    except ValueError:  # beyond numpy's dimension limit, before anything is allocated
+        raise ParameterError(f"oversample factor {factor} is beyond numpy's array size limit") from None
     grid[:, :factor] = (ks * delta)[:, None] + np.arange(factor) * (delta / factor)
     grid[:, factor] = (ks + 1) * delta
     return grid
@@ -266,7 +260,8 @@ def estimate_variation_bound(
     k_lo = max(int(math.floor(alpha / delta)) - 1, 0)
     k_hi = int(math.ceil(beta / delta)) + 1
     ks = np.arange(k_lo, k_hi, dtype=np.int64)
-    ks = ks[~((ks * delta < alpha) | ((ks + 1) * delta > beta))]
+    with np.errstate(over="ignore"):  # a cell end past float range lies past beta too
+        ks = ks[~((ks * delta < alpha) | ((ks + 1) * delta > beta))]
     if len(ks) == 0:
         raise DomainError(f"window {window} contains no full grid cell at delta={delta}")
     worst = 0.0

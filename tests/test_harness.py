@@ -1,7 +1,10 @@
 """Experiment orchestration, file I/O, and the command-line interface."""
 
+import contextlib
+import copy
 import csv
 import functools
+import io
 import json
 import math
 import os
@@ -11,7 +14,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from admtrack import (
@@ -36,7 +39,7 @@ from admtrack import (
 )
 from admtrack.cli import _build_parser, main
 import admtrack.harness as harness
-from admtrack.harness import config_from_dict, write_json
+from admtrack.harness import TRACE_COLUMNS, config_from_dict, write_json
 
 from conftest import HAND_BODY
 
@@ -132,14 +135,21 @@ def test_bad_config_value_exits_2(key, value, command, tmp_path, capsys):
 
 
 OVERFLOWING_CONFIG_VALUES = {
-    # 2*pi*f*t overflows to inf, where math.sin has no value; the error names
-    # the absolute time, not the time on the segment's own clock (0.04...)
+    # 2*pi*f overflows to inf, and inf*0 is nan at the segment's start; the
+    # error names the absolute time, not the time on the segment's own clock (0.0)
     "sine_frequency": ("signal", {"kind": "piecewise", "segments": [
         {"start": 0.0, "signal": {"kind": "constant", "level": 2.0}},
         {"start": 1.0, "signal": {"kind": "sine", "amplitude": 1.0, "frequency_hz": 1e308}},
-    ]}, "sine phase overflowed at t=1.04\n"),
+    ]}, "signal is not finite at t=1.0\n"),
     # (m*delta)**exponent overflows once m*delta > 1 in the acquisition bound
     "growth_exponent": ("growth", {"scale": 1e6, "exponent": 1e308}, "overflowed"),
+    # horizon/delta is inf, or a count of steps no float grid index holds exactly;
+    # each is refused before anything is allocated
+    "delta": ("codec.delta", 1e-308, "a grid index must be below 2**52"),
+    "horizon": ("horizon", 1e308, "a grid index must be below 2**52"),
+    "horizon_finite": ("horizon", 1e300, "a grid index must be below 2**52"),
+    # 10**30 + 1 points per cell is past numpy's dimension limit
+    "oversample_factor": ("oversample_factor", 10**30, "is beyond numpy's array size limit"),
 }
 
 
@@ -425,6 +435,30 @@ class TestCliVerify:
             {"claim": "trace_consistency", "step": 199, "detail": consistency}
         ]
 
+    def _verify_edited_cell(self, tmp_path, row, column, text):
+        assert _run_in(tmp_path, "sine_steady.json", "simulate") == 0
+        trace_path = tmp_path / "sine_trace.csv"
+        rows = trace_path.read_text().splitlines()
+        cells = rows[row].split(",")
+        cells[TRACE_COLUMNS.index(column)] = text
+        rows[row] = ",".join(cells)
+        trace_path.write_text("\n".join(rows) + "\n")
+        return main(["verify", "--config", str(CONFIGS / "sine_steady.json"),
+                     "--trace", str(trace_path), "--out", str(tmp_path)])
+
+    @pytest.mark.parametrize("text", [repr(math.nextafter(3.0, 4.0)), repr(math.nextafter(3.0, 2.0))])
+    def test_time_one_ulp_off_is_a_consistency_violation(self, tmp_path, capsys, text):
+        # the verifier's cells are the grid's, so t is check_trace's finding alone
+        assert self._verify_edited_cell(tmp_path, 301, "t", text) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[-2:] == [f"violation: trace_consistency at step 300: t={text} != k*delta=3.0",
+                            f"1 violation(s) -> {tmp_path / 'sine_report.json'}"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_slope_cell_is_flagged_without_a_warning(self, tmp_path, capsys):
+        assert self._verify_edited_cell(tmp_path, 301, "M", "1e400") == 1
+        assert capsys.readouterr().out.splitlines()[-1].startswith("3 violation(s)")
+
     def test_clean_trace_passes_file_verification(self, tmp_path):
         assert _run_in(tmp_path, "sine_steady.json", "simulate") == 0
         code = main(["verify", "--config", str(CONFIGS / "sine_steady.json"),
@@ -707,6 +741,7 @@ def trace_csv_files(draw):
     return text.encode("utf-8", "surrogateescape")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(data=trace_csv_files())
 def test_trace_csv_reader_agrees_with_the_row_loop_on_any_file(data):
@@ -724,6 +759,97 @@ def test_trace_csv_reader_agrees_with_the_row_loop_on_any_file(data):
         else:  # repr: a nan cell reads as nan on both sides, and nan != nan
             assert repr(read_trace_csv(path, params).records) == repr(want.records)
         assert main(["verify", "--config", str(SINE_STEADY), "--trace", path, "--out", tmp]) in (0, 1, 2)
+
+
+# --- config and samples-CSV reader fuzz -----------------------------------------
+#
+# Any config or samples CSV must end in exit 0, 1 or 2 through cli.main, with
+# no traceback and no warning on stderr. The palette keeps every grid small or
+# refused before allocation: no horizon/delta between 1e4 and 2**52 steps
+# (restart_index refuses the rest), no oversample factor between 64 and 10**30.
+
+NESTED_PIECEWISE = {"kind": "piecewise", "segments": [
+    {"start": 0.0, "signal": {"kind": "piecewise", "segments": [
+        {"start": 0.0, "signal": {"kind": "sine", "amplitude": 1.0, "frequency_hz": 1e308}},
+        {"start": 0.5, "signal": {"kind": "constant", "level": -1.0}},
+    ]}},
+    {"start": 1.0, "signal": {"kind": "ramp", "slope": 1e308, "intercept": 0.0}},
+]}
+# numbers at the edges of the floats, and values of the wrong kind
+CONFIG_NUMBERS = ["nan", "inf", math.nan, math.inf, 10**400, 10**30, 1e-308, 1e308, -1, 0]
+CONFIG_OTHERS = [True, None, "", "x", [], [1.0], {}, "jayant", NESTED_PIECEWISE, NESTED_PIECEWISE["segments"]]
+CONFIG_KEYS = ["signal", "codec", "horizon", "channel", "oversample_factor", "growth", "outputs",
+               "comparison", "signal.amplitude", "signal.frequency_hz", "signal.segments", "codec.delta",
+               "codec.M0", "codec.a", "channel.p", "growth.exponent", "comparison.proximity_band_multiplier"]
+
+
+def _grid_steps(document) -> float:
+    """horizon/delta as floats, or nan where either is no plain number."""
+    try:
+        return float(document["horizon"]) / float(document["codec"]["delta"])
+    except (KeyError, TypeError, ValueError, OverflowError, ZeroDivisionError):
+        return math.nan
+
+
+@st.composite
+def fuzzed_configs(draw):
+    name = draw(st.sampled_from(sorted(p.name for p in CONFIGS.glob("*.json"))))
+    document = json.loads((CONFIGS / name).read_text(encoding="utf-8"))
+    for key in draw(st.lists(st.sampled_from(CONFIG_KEYS), min_size=1, max_size=2)):
+        value = copy.deepcopy(draw(st.sampled_from(CONFIG_NUMBERS) | st.sampled_from(CONFIG_OTHERS)))
+        section, _, field = key.partition(".")
+        if not field:
+            document[section] = value
+        elif isinstance(document.get(section), dict):
+            document[section][field] = value
+    assume(not 1e4 <= _grid_steps(document) < 2.0**52)
+    return document
+
+
+def _run_main(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(document=fuzzed_configs())
+def test_any_config_exits_0_1_or_2(document):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(document, fh)
+        for command in ("simulate", "verify", "compare"):
+            code, err = _run_main([command, "--config", path, "--out", tmp])
+            assert code in (0, 1, 2) and "Traceback" not in err
+
+
+SAMPLE_HEADERS = ["x", "\ufeffx", "x,y", "y,x", '"x"', "y", ""]
+SAMPLE_CELLS = ["1.0", "-2.5", "0", "1e5", "nan", "-inf", "1e400", "", " 1", '"1.0"', '"', '""',
+                "\x00", "1\x00", "1,2", "\u00e9", "\udce9", "abc"]
+
+
+@st.composite
+def samples_csv_files(draw):
+    lines = [draw(st.sampled_from(SAMPLE_HEADERS))]
+    lines += draw(st.lists(st.sampled_from(SAMPLE_CELLS), max_size=6))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = ending.join(lines) + draw(st.sampled_from([ending, ""]))
+    return text.encode("utf-8", "surrogateescape")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(data=samples_csv_files())
+def test_any_samples_csv_exits_0_or_2(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        code, err = _run_main(["encode", path, "--delta", "0.1", "--y0", "0", "--m0", "1", "--out", tmp])
+        assert code in (0, 2) and "Traceback" not in err
 
 
 class TestAtomicWrites:

@@ -1,8 +1,9 @@
 """The numpy and columnar kernels against the code they replaced, as oracles.
 
-The first oracles are the per-point loops the cell-grid kernels replaced:
-``at`` one time at a time, the literal cell-point list, the scalar variation
-scan and the per-cell interval-error loop over :func:`admtrack.reconstruct`.
+The first oracles are the per-point code the numpy signal kernels replaced:
+the scalar evaluators (``math.sin`` and ``bisect_right``) called one time at
+a time, the literal cell-point list, the scalar variation scan and the
+per-cell interval-error loop over :func:`admtrack.reconstruct`.
 The codec oracles further down are the per-step state machine the columnar
 kernel replaced. After them come the ``csv``-module trace writer and
 row-loop reader the columnar CSV I/O replaced, the per-step loops behind
@@ -15,6 +16,7 @@ from __future__ import annotations
 import csv
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,7 +33,6 @@ from admtrack import (
     AdaptationRule,
     CodecParams,
     Constant,
-    DomainError,
     Erasure,
     FormatError,
     GrowthBound,
@@ -70,6 +71,19 @@ from admtrack.signals import CHUNK_CELLS, cell_grid
 # --- scalar oracles -------------------------------------------------------
 
 
+def oracle_at(spec, t):
+    """x(t) through the scalar evaluators ``at_array`` replaced."""
+    if isinstance(spec, Constant):
+        return spec.level
+    if isinstance(spec, Ramp):
+        return spec.intercept + spec.slope * t
+    if isinstance(spec, Sine):
+        return spec.amplitude * math.sin(2.0 * math.pi * spec.frequency_hz * t + spec.phase)
+    starts = [start for start, _ in spec.segments]
+    start, child = spec.segments[max(bisect_right(starts, t) - 1, 0)]
+    return oracle_at(child, t - start)
+
+
 def oracle_cell_points(k, delta, factor):
     step = delta / factor
     t0 = k * delta
@@ -84,9 +98,9 @@ def oracle_variation_rate(spec, delta, window, factor):
     for k in range(k_lo, k_hi):
         if k * delta < alpha or (k + 1) * delta > beta:
             continue
-        x0 = spec.at(k * delta)
+        x0 = oracle_at(spec, k * delta)
         for t in oracle_cell_points(k, delta, factor):
-            worst = max(worst, abs(spec.at(t) - x0))
+            worst = max(worst, abs(oracle_at(spec, t) - x0))
     return worst / delta
 
 
@@ -96,7 +110,7 @@ def oracle_interval_error(report, trace, spec, delta, factor):
         record = records[k]
         worst_t, worst = None, 0.0
         for t in oracle_cell_points(k, delta, factor):
-            err = abs(spec.at(t) - reconstruct(record, t, delta))
+            err = abs(oracle_at(spec, t) - reconstruct(record, t, delta))
             if err > worst:
                 worst_t, worst = t, err
         if worst > report.interval_error_bound:
@@ -170,7 +184,28 @@ def test_at_array_equals_at_bit_for_bit(seed):
     rng = random.Random(seed)
     spec = random_spec(rng)
     times = probe_times(spec, rng)
-    assert_bitwise_equal(spec.at_array(np.array(times)), [spec.at(t) for t in times])
+    want = [oracle_at(spec, t) for t in times]
+    assert_bitwise_equal(spec.at_array(np.array(times)), want)
+    assert_bitwise_equal([spec.at(t) for t in times], want)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_sample_equals_the_scalar_loop(seed):
+    rng = random.Random(500 + seed)
+    spec = random_spec(rng)
+    delta = rng.choice([0.01, 0.02, 0.04, 0.1, 0.03, 0.007])
+    samples = sample(spec, delta, rng.uniform(0.5, 12.0))
+    assert_bitwise_equal(samples.values, [oracle_at(spec, k * delta) for k in range(len(samples))])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sample_names_the_first_time_whose_value_is_not_finite():
+    with pytest.raises(NumericError, match=r"^signal is not finite at t=2.0$"):
+        sample(Ramp(slope=1e308, intercept=0.0), 1.0, 4.0)  # 1e308*2.0 overflows
+    spec = Piecewise(segments=((0.0, Constant(1.0)), (0.75, Sine(amplitude=1.0, frequency_hz=1e308))))
+    with pytest.raises(NumericError, match=r"^signal is not finite at t=0.75$"):
+        sample(spec, 0.25, 1.0)  # 2*pi*f is inf, and inf times the segment's local 0.0 is nan
+    assert math.isnan(spec.at(0.75))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -180,7 +215,7 @@ def test_at_array_keeps_the_shape_of_a_grid(seed):
     grid = cell_grid(np.arange(40), 0.05, 8)
     values = spec.at_array(grid)
     assert values.shape == grid.shape
-    assert_bitwise_equal(values.ravel(), [spec.at(t) for t in grid.ravel().tolist()])
+    assert_bitwise_equal(values.ravel(), [oracle_at(spec, t) for t in grid.ravel().tolist()])
 
 
 def test_nested_piecewise_boundaries():
@@ -189,7 +224,7 @@ def test_nested_piecewise_boundaries():
     times = []
     for s in (0.0, 0.7, 0.7 + 0.3, 2.1):
         times += [s, math.nextafter(s, -math.inf), math.nextafter(s, math.inf)]
-    assert_bitwise_equal(spec.at_array(np.array(times)), [spec.at(t) for t in times])
+    assert_bitwise_equal(spec.at_array(np.array(times)), [oracle_at(spec, t) for t in times])
 
 
 finite_times = st.floats(min_value=-10.0, max_value=100.0, allow_nan=False)
@@ -204,7 +239,7 @@ finite_times = st.floats(min_value=-10.0, max_value=100.0, allow_nan=False)
 )
 def test_sine_at_array_property(amplitude, frequency, phase, times):
     spec = Sine(amplitude=amplitude, frequency_hz=frequency, phase=phase)
-    assert_bitwise_equal(spec.at_array(np.array(times)), [spec.at(t) for t in times])
+    assert_bitwise_equal(spec.at_array(np.array(times)), [oracle_at(spec, t) for t in times])
 
 
 @settings(max_examples=100, deadline=None)
@@ -216,7 +251,7 @@ def test_sine_at_array_property(amplitude, frequency, phase, times):
 )
 def test_ramp_and_constant_at_array_property(slope, intercept, level, times):
     for spec in (Ramp(slope=slope, intercept=intercept), Constant(level)):
-        assert_bitwise_equal(spec.at_array(np.array(times)), [spec.at(t) for t in times])
+        assert_bitwise_equal(spec.at_array(np.array(times)), [oracle_at(spec, t) for t in times])
 
 
 def test_piecewise_equality_and_repr_ignore_cached_starts():
@@ -356,21 +391,21 @@ def interval_detail(report, step):
     return violation.detail
 
 
-def test_tampered_record_time_raises_like_reconstruct(monkeypatch):
+def test_tampered_record_time_is_check_traces_finding():
+    # the verifier's cells are the grid's; a wrong t column changes no claim
     spec = Sine(amplitude=1.0, frequency_hz=1.0)
     samples = sample(spec, 0.01, 1.0)
     params = CodecParams(y0=0.0, m0=13.0, mbar=13.0, a=1.5, delta=0.01)
     _, trace = encode_signal(params, samples)
     records = list(trace.records)
     k = len(records) - 5
-    records[k] = records[k].__class__(**{**records[k].__dict__, "t": records[k].t + 0.001})
+    records[k] = replace(records[k], t=records[k].t + 0.001)
     tampered = Trace(params=params, records=tuple(records))
     variation = VariationBound(rate=1.0, window=(0.0, 1.0), oversample_factor=32)
-    with pytest.raises(DomainError) as oracle_error:
-        oracle_verify(monkeypatch, tampered, samples, variation)
-    with pytest.raises(DomainError) as kernel_error:
-        verify_theorem(tampered, samples, variation)
-    assert str(kernel_error.value) == str(oracle_error.value)
+    report = verify_theorem(tampered, samples, variation)
+    assert "interval_error" in report.checked
+    assert report.to_dict() == verify_theorem(trace, samples, variation).to_dict()
+    assert check_trace(tampered) == [(k, f"t={records[k].t!r} != k*delta={trace.t[k].item()!r}")]
 
 
 # --- codec kernel -------------------------------------------------------------

@@ -25,10 +25,14 @@ slopes compare bit-exactly against ``Mbar`` and ``a * Mbar`` (a plain
 multiplicative recursion can land one ulp off the floor after a grow/shrink
 pair).
 
-Decoding makes no comparison, so under the modified rule :func:`_scan` builds
-the whole trace from the bits with numpy scans. Where it cannot vouch for the
-result (Jayant, bad symbols, any error) it declines, and the per-step loop
-runs, with its errors. A :class:`Trace` holds typed numpy columns.
+Under the modified rule, decoding makes no comparison: :func:`_scan` builds
+the whole trace from the bits with numpy scans. Encoding makes one comparison
+per step (:func:`_symbols`), and its trace is the decode scan of its symbols
+plus the samples, returned once every symbol is confirmed against the
+comparison rule on the scan's estimates. Where either cannot vouch for the
+result (Jayant, bad symbols or samples, any error) it declines, and the
+per-step loop runs, with its errors. A :class:`Trace` holds typed numpy
+columns.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Iterable, Optional
 
 import numpy as np
@@ -377,7 +381,8 @@ def _slope_value(params: CodecParams, power: int, floored: bool) -> float:
 
 def _step(params, k, y, m, h_prev, power, floored, prev_in_switch, x_k, h_k):
     """The shared encoder/decoder recursion for step ``k``; :func:`_scan`
-    restates it for whole decodes and is tested against it.
+    restates it for whole decodes, :func:`_symbols` its symbol choice for
+    whole encodes, and both are tested against it.
 
     ``y``, ``m``, ``h_prev``, ``power``, ``floored`` and ``prev_in_switch``
     describe the state after step k-1 (before step 0: y0, m0, +1, 0, False,
@@ -467,9 +472,10 @@ def reconstruct(record: StepRecord, t: float, delta: float) -> float:
 _POWER_STEP = np.array([1, 0, -1, -1], dtype=np.int8)
 
 
-def _scan(params: CodecParams, bits: list, substituted=None) -> Optional[Trace]:
+def _scan(params: CodecParams, bits: list, substituted=None, x=None) -> Optional[Trace]:
     """The :func:`_step` loop's decode trace of ``bits``, bit for bit, from
-    numpy scans; None where the loop might raise or the scan cannot vouch."""
+    numpy scans, with ``x`` (None or a float64 array) as its samples; None
+    where the loop might raise or the scan cannot vouch."""
     n = len(bits)
     if params.rule is _JAYANT or not n or bits.count(PLUS) + bits.count(MINUS) != n:
         return None
@@ -509,7 +515,7 @@ def _scan(params: CodecParams, bits: list, substituted=None) -> Optional[Trace]:
     if not math.isfinite(y[-1]):  # a non-finite estimate stays non-finite
         return None
     return Trace.from_columns(
-        params, k=np.arange(n), t=np.arange(n) * params.delta, x=None, y=y, h=h,
+        params, k=np.arange(n), t=np.arange(n) * params.delta, x=x, y=y, h=h,
         m=np.array(table)[power], in_switch=switch, substituted=substituted,
     )
 
@@ -550,18 +556,101 @@ def _switches(h: np.ndarray) -> np.ndarray:
     return switch
 
 
+def _off_rule(y: np.ndarray, x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Where a symbol of ``h`` is not the comparison rule's for estimate ``y``,
+    sample ``x`` and the symbol before it (+1 before step 0)."""
+    h_prev = np.concatenate(([PLUS], h[:-1]))
+    return np.where(y < x, PLUS, np.where(y > x, MINUS, -h_prev)) != h
+
+
+class _Slopes(dict):
+    """The modified rule's slopes by power, off the floor or on it, each
+    computed on first use. A slope outside (0, inf) is :func:`_scan`'s to
+    decline on; an overflowing ``a**p`` raises NumericError here."""
+
+    def __init__(self, params: CodecParams, floored: bool) -> None:
+        super().__init__()
+        self.params, self.floored = params, floored
+
+    def __missing__(self, power: int) -> float:
+        m = self[power] = _slope_value(self.params, power, self.floored)
+        return m
+
+
+def _symbols(params: CodecParams, values) -> list[Symbol]:
+    """The modified rule's symbols for finite float samples, from the
+    comparisons alone: no check, record or call per step. The caller
+    confirms every symbol, so a fault here can only cost time."""
+    delta, mbar = params.delta, params.mbar
+    free, floor = _Slopes(params, False), _Slopes(params, True)
+    y, m = params.y0, params.m0
+    h = 1 if y < values[0] else -1  # step 0: a tie flips the +1 before it
+    move = h * m * delta  # the estimate's next move, as the loop rounds it
+    bits = [h]
+    add = bits.append
+    power, floored, held = 0, False, False  # held: the last step was a switch
+    for x in islice(values, 1, None):
+        y += move
+        s = 1 if y < x else -1 if y > x else -h
+        if s != h:
+            h, held = s, True
+            if floored:
+                if power:
+                    power -= 1
+                    m = floor[power]
+            elif free[power - 1] > mbar:
+                power -= 1
+                m = free[power]
+            else:
+                power, floored, m = 0, True, floor[0]
+            move = s * m * delta
+        elif held:
+            held = False
+        else:
+            power += 1
+            m = floor[power] if floored else free[power]
+            move = s * m * delta
+        add(s)
+    return bits
+
+
+def _encode(params: CodecParams, values) -> Optional[Trace]:
+    """The encode trace of ``values`` under the modified rule: :func:`_scan`
+    of the symbols :func:`_symbols` decides, with the samples as ``x``. None
+    where it cannot vouch: not a list or tuple of finite floats, an
+    overflowing ``a**p``, the scan declining (a slope outside (0, inf), a
+    non-finite estimate), or a symbol that breaks the comparison rule on the
+    scan's estimates. Bits that pass that check are the :func:`_step`
+    loop's, by induction over the steps."""
+    if params.rule is _JAYANT or not isinstance(values, (list, tuple)) or set(map(type, values)) != {float}:
+        return None
+    x = np.fromiter(values, np.float64, len(values))
+    if not np.isfinite(x).all():
+        return None
+    try:
+        bits = _symbols(params, values)
+    except NumericError:
+        return None
+    trace = _scan(params, bits, x=x)
+    return None if trace is None or _off_rule(trace.y, x, trace.h).any() else trace
+
+
 def encode_signal(params: CodecParams, samples) -> tuple[list[Symbol], Trace]:
     """Encode grid samples into one symbol each; returns (bits, full trace).
 
     ``samples`` is a ``signals.SampledSignal`` (or anything with ``delta``
-    and ``values``); its grid must match ``params.delta`` exactly.
+    and ``values``); its grid must match ``params.delta`` exactly. Under the
+    modified rule :func:`_encode` builds the trace; where it declines, the
+    :func:`_step` loop runs, with its errors.
     """
     if samples.delta != params.delta:
         raise ParameterError(
             f"sample grid delta {samples.delta!r} != codec delta {params.delta!r}"
         )
-    # map checks each sample lazily, just before the step that consumes it
-    trace = _run_stream(params, map(_check_sample, samples.values), repeat(None))
+    trace = _encode(params, samples.values)
+    if trace is None:
+        # map checks each sample lazily, just before the step that consumes it
+        trace = _run_stream(params, map(_check_sample, samples.values), repeat(None))
     return trace.bits(), trace
 
 
@@ -590,8 +679,7 @@ def check_trace(trace: Trace) -> list[tuple[int, str]]:
     x, present, h = trace.x, trace.x_present, trace.h
     for k in np.flatnonzero(present & ~np.isfinite(x))[:1].tolist():
         symbol_for_sample(want.y[k].item(), x[k].item(), PLUS)  # raises its NumericError
-    h_prev = np.concatenate(([PLUS], h[:-1]))
-    symbol = present & (np.where(want.y < x, PLUS, np.where(want.y > x, MINUS, -h_prev)) != h)
+    symbol = present & _off_rule(want.y, x, h)
     flagged = symbol | (trace.k != np.arange(len(trace))) | (trace.t != want.t)
     flagged |= (trace.y != want.y) | (trace.m != want.m) | (trace.in_switch != want.in_switch)
     problems: list[tuple[int, str]] = []
@@ -611,3 +699,4 @@ def check_trace(trace: Trace) -> list[tuple[int, str]]:
         if symbol[k]:
             problems.append((k, "symbol disagrees with the comparison rule"))
     return problems
+

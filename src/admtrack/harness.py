@@ -411,8 +411,11 @@ def write_trace_csv(path, trace: Trace, x_values=None) -> None:
     Rows end in CRLF; floats are written as ``repr``, ``in_switch`` as
     1/0 and an absent x (with its err_abs) as an empty cell. The columns are
     formatted from Python scalars (one ``tolist`` each), CHUNK_ROWS rows per
-    write.
+    write; ``m`` takes few values, so each distinct one is formatted once.
     """
+    # distinct bit patterns, not values: -0.0 == 0.0 but their reprs differ
+    m_codes, m_index = np.unique(trace.m.view(np.int64), return_inverse=True)
+    m_text = list(map(repr, m_codes.view(np.float64).tolist()))
     with _Replacing(path, encoding="ascii", newline="") as fh:
         fh.write(_HEADER_LINE)
         for lo in range(0, len(trace), CHUNK_ROWS):
@@ -426,7 +429,7 @@ def write_trace_csv(path, trace: Trace, x_values=None) -> None:
                 ["" if x is None else repr(x) for x in xs],
                 map(repr, ys),
                 map(_INT8_TEXT.__getitem__, trace.h[rows].tolist()),
-                map(repr, trace.m[rows].tolist()),
+                map(m_text.__getitem__, m_index[rows].tolist()),
                 ["1" if s else "0" for s in trace.in_switch[rows].tolist()],
                 ["" if x is None else repr(abs(x - y)) for x, y in zip(xs, ys)],
             )

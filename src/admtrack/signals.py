@@ -149,12 +149,12 @@ class SampledSignal:
 
     def __post_init__(self) -> None:
         try:
-            object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+            object.__setattr__(self, "values", tuple(map(float, self.values)))
         except OverflowError:  # an int beyond float range
             raise NumericError("samples must be finite") from None
         if self.delta <= 0.0:
             raise ParameterError(f"delta must be > 0, got {self.delta}")
-        if any(not math.isfinite(v) for v in self.values):
+        if not all(map(math.isfinite, self.values)):
             raise NumericError("samples must be finite")
 
     def __len__(self) -> int:

@@ -207,7 +207,7 @@ def verify_theorem(
         raise ParameterError(f"start_index {start_index} outside trace of length {n}")
 
     rate = variation.rate
-    xs = x_samples.values
+    xs = np.array(x_samples.values)
     sample_bound, interval_bound = steady_error_bounds(params, rate)
     report = TheoremReport(
         tau=None,
@@ -226,7 +226,7 @@ def verify_theorem(
     report.tau = switches[0] if switches else None
 
     _check_acquisition(report, trace, xs, growth, switches)
-    _check_settling_and_steady(report, trace, x_samples, rate, switches, oversample_factor)
+    _check_settling_and_steady(report, trace, xs, x_samples.spec, rate, switches, oversample_factor)
     return report
 
 
@@ -238,7 +238,7 @@ def _check_acquisition(report, trace, xs, growth, switches) -> None:
     params = trace.params
     start = report.start_index
     start_params = params if start == 0 else replace(params, y0=trace.y[start].item(), m0=trace.m[start].item())
-    gap = abs(start_params.y0 - xs[start])
+    gap = abs(start_params.y0 - xs[start].item())
     report.tau_bound = start + acquisition_bound(start_params, gap, growth)
     if report.tau is not None:
         if report.tau > report.tau_bound:
@@ -259,7 +259,7 @@ def _check_acquisition(report, trace, xs, growth, switches) -> None:
         )
 
 
-def _check_settling_and_steady(report, trace, x_samples, rate, switches, factor) -> None:
+def _check_settling_and_steady(report, trace, xs, spec, rate, switches, factor) -> None:
     params = trace.params
     n = report.n_steps
 
@@ -276,7 +276,6 @@ def _check_settling_and_steady(report, trace, x_samples, rate, switches, factor)
         report.not_applicable.append(("steady_state", reason))
         return
 
-    xs = np.array(x_samples.values)
     report.eta = _first_settled(trace, xs, report.start_index, n - 1, report.sample_error_bound)
 
     # settling: a floored, in-band step must exist within the window past tau
@@ -306,16 +305,17 @@ def _check_settling_and_steady(report, trace, x_samples, rate, switches, factor)
     if report.eta is None:
         report.not_applicable.append(("steady_state", "no settled step detected"))
         return
-    _check_steady(report, trace, x_samples, switches, factor)
+    _check_steady(report, trace, xs, spec, switches, factor)
 
 
-def _check_steady(report, trace, x_samples, switches, factor) -> None:
+def _check_steady(report, trace, xs, spec, switches, factor) -> None:
     """The steady-state claims from eta on, each one numpy mask over the
-    columns; violations are built from the flagged steps, in step order."""
+    columns (``xs`` is the samples' array, ``spec`` their signal or None);
+    violations are built from the flagged steps, in step order."""
     params = trace.params
     n = report.n_steps
     eta = report.eta
-    xs = np.array(x_samples.values[eta:])
+    xs = xs[eta:]
     floor = params.mbar
     lifted = params.a * params.mbar  # the only other steady slope value
 
@@ -337,13 +337,13 @@ def _check_steady(report, trace, x_samples, switches, factor) -> None:
         if bad_error[i]:
             report.violations.append(Violation("sample_error", k, f"|x - y| = {err[i].item()} > {bound}"))
 
-    if x_samples.spec is None:
+    if spec is None:
         report.not_applicable.append(
             ("interval_error", "samples carry no signal spec to evaluate between grid points")
         )
     else:
         report.checked.append("interval_error")
-        _check_interval_error(report, trace, x_samples.spec, params.delta, factor)
+        _check_interval_error(report, trace, spec, params.delta, factor)
 
     report.checked.append("switch_gap")
     post = [k for k in switches if k >= eta]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import admtrack.codec as codec
@@ -453,7 +453,10 @@ def oracle_slope_value(params, power, floored):
         return base
     if power == 1:
         return base * params.a
-    return base * params.a ** power
+    try:
+        return base * params.a ** power
+    except OverflowError:
+        raise NumericError(f"slope power a**{power} overflowed") from None
 
 
 def oracle_next_slope(state, in_switch):
@@ -990,6 +993,118 @@ def test_clean_modified_stream_is_decoded_by_the_scan(hand_params, monkeypatch):
         decode_bitstream(hand_params, [PLUS] * 1100)
 
 
+# --- the encode loop ------------------------------------------------------------
+#
+# Under the modified rule encode_signal decides the symbols in a comparison-only
+# loop, codec._symbols, and builds the trace with codec._scan; it checks every
+# symbol against the comparison rule on the scan's estimates, and declines to
+# the _step loop wherever it cannot vouch. Its bits, columns and errors must be
+# the oracle's.
+
+
+@st.composite
+def encode_cases(draw):
+    """A modified-rule codec (slopes subnormal in some) and samples drawn run
+    by run against the oracle's running estimate: exact ties, near ties,
+    repeats, plain values and values near the float limit. A long run far
+    from the estimate grows the slope until it or the estimate may overflow."""
+    params = draw(modified_codecs())
+    if draw(st.integers(0, 7)) == 0:
+        tiny = draw(st.sampled_from([5e-324, 1e-320, 2.0 ** -1060]))
+        params = replace(params, m0=tiny, mbar=draw(st.sampled_from([0.0, tiny, 4 * tiny])))
+    state, values = oracle_start(params), []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.integers(0, 9))
+        y = state.y if state.k == 0 else state.y + state.h * state.m * params.delta
+        if kind < 4 and math.isfinite(y):
+            x = y if kind < 3 else math.nextafter(y, draw(st.sampled_from([-math.inf, math.inf])))
+        elif kind < 6 and values:
+            x = values[-1]
+        elif kind < 9:
+            x = draw(st.floats(-1e3, 1e3))
+        else:
+            x = draw(st.sampled_from([1e308, -1e308, 1.7e308]))
+        run = draw(st.sampled_from([1, 3, 80] if kind == 9 else [1, 1, 2, 3]))
+        try:
+            for _ in range(run):
+                values.append(x)
+                state, _ = oracle_advance(state, x, None)
+        except NumericError:
+            break
+    return params, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=encode_cases())
+# n = 0, 1 and 2, a tie at step 0 included
+@example(case=(CodecParams(y0=0.0, m0=1.0, mbar=1.0, a=2.0, delta=1.0), []))
+@example(case=(CodecParams(y0=0.0, m0=1.0, mbar=1.0, a=2.0, delta=1.0), [0.0]))
+@example(case=(CodecParams(y0=-0.0, m0=1.0, mbar=1.0, a=2.0, delta=1.0), [0.0, 1.0]))
+# M0 below and above Mbar
+@example(case=(CodecParams(y0=0.0, m0=0.01, mbar=1.0, a=2.0, delta=0.5), [40.0] * 12 + [0.0] * 30))
+@example(case=(CodecParams(y0=0.0, m0=2.0 ** 40, mbar=1.0, a=2.0, delta=0.01), [0.0] * 300))
+# subnormal slopes, on tie-rich constants
+@example(case=(CodecParams(y0=0.0, m0=5e-324, mbar=5e-324, a=1.5, delta=1.0), [0.0] * 50))
+@example(case=(CodecParams(y0=0.0, m0=1e-320, mbar=5e-324, a=2.0, delta=1.0), [1e-318] * 50))
+# the slope power a**1024 overflows
+@example(case=(CodecParams(y0=0.0, m0=1e-300, mbar=1e-300, a=2.0, delta=1.0), [1e308] * 1100))
+# the estimate overflows at the last step only; one step fewer, it does not
+@example(case=(CodecParams(y0=1.5e308, m0=1e307, mbar=1e307, a=2.0, delta=1.0), [1.7e308] * 3))
+@example(case=(CodecParams(y0=1.5e308, m0=1e307, mbar=1e307, a=2.0, delta=1.0), [1.7e308] * 2))
+# a floor of 0 is a slope outside (0, inf)
+@example(case=(CodecParams(y0=0.0, m0=1.0, mbar=0.0, a=2.0, delta=1.0), [0.0] * 1200))
+def test_encode_matches_oracle_property(case):
+    params, values = case
+    encoded, want = same_outcome(
+        lambda: encode_signal(params, SampledSignal(delta=params.delta, values=tuple(values))),
+        lambda: oracle_encode_signal(params, values),
+    )
+    if want is not None:
+        bits, trace = encoded
+        assert bits == [r.h for r in want]
+        assert_same_columns(trace, want)
+        for name, kind in COLUMN_TYPES.items():
+            assert all(type(v) is kind for v in getattr(trace, name).tolist()), name
+
+
+def test_clean_modified_encode_never_enters_the_loop(hand_params, hand_samples, monkeypatch):
+    def no_loop(*args):
+        raise AssertionError("the _step loop ran")
+
+    sine = sample(Sine(amplitude=3.0, frequency_hz=0.01), hand_params.delta, 400.0)
+    want = [encode_signal(hand_params, s) for s in (hand_samples, sine)]
+    monkeypatch.setattr(codec, "_run_stream", no_loop)
+    assert [encode_signal(hand_params, s) for s in (hand_samples, sine)] == want
+    declined = [
+        (hand_params.with_rule(AdaptationRule.JAYANT), hand_samples),
+        (hand_params, DuckSamples(1.0, [10, 10.0])),
+        (hand_params, DuckSamples(1.0, [10.0, np.float64(10.0)])),
+        (hand_params, DuckSamples(1.0, (10.0, math.nan))),
+        (hand_params, DuckSamples(1.0, iter([10.0, 10.0]))),
+        (CodecParams(y0=0.0, m0=1e-300, mbar=1e-300, a=2.0, delta=1.0), SampledSignal(1.0, (1e308,) * 1100)),
+        (CodecParams(y0=1.5e308, m0=1e307, mbar=1e307, a=2.0, delta=1.0), SampledSignal(1.0, (1.7e308,) * 3)),
+    ]
+    for params, samples in declined:
+        with pytest.raises(AssertionError, match="_step loop"):
+            encode_signal(params, samples)
+
+
+@pytest.mark.parametrize("position", [0, 4, 9])  # step 0, the first switch, the tie
+def test_a_wrong_symbol_from_the_loop_only_costs_time(hand_params, hand_samples, monkeypatch, position):
+    """The symbol check catches a fault in the comparison-only loop, and the
+    _step loop encodes instead: the bits are right whatever the fast loop says."""
+    want = encode_signal(hand_params, hand_samples)
+    fast = codec._symbols
+
+    def faulty(params, values):
+        bits = fast(params, values)
+        bits[position] = -bits[position]
+        return bits
+
+    monkeypatch.setattr(codec, "_symbols", faulty)
+    assert encode_signal(hand_params, hand_samples) == want
+
+
 # --- trace CSV writer and reader ----------------------------------------------
 #
 # The oracles are the csv-module writer and row-loop reader the columnar I/O
@@ -1223,11 +1338,11 @@ def test_misaligned_rows_read_like_the_row_loop(tmp_path):
 # interleaved, the report must match it exactly.
 
 
-def oracle_check_steady(report, trace, x_samples, switches, factor):
+def oracle_check_steady(report, trace, xs, spec, switches, factor):
     params = trace.params
     n = report.n_steps
     eta = report.eta
-    xs = x_samples.values
+    xs = xs.tolist()
     floor = params.mbar
     lifted = params.a * params.mbar
     report.checked += ["step_size_set", "switch_floor", "sample_error"]
@@ -1243,12 +1358,12 @@ def oracle_check_steady(report, trace, x_samples, switches, factor):
         if err > report.sample_error_bound:
             report.violations.append(
                 theory.Violation("sample_error", k, f"|x - y| = {err} > {report.sample_error_bound}"))
-    if x_samples.spec is None:
+    if spec is None:
         report.not_applicable.append(
             ("interval_error", "samples carry no signal spec to evaluate between grid points"))
     else:
         report.checked.append("interval_error")
-        theory._check_interval_error(report, trace, x_samples.spec, params.delta, factor)
+        theory._check_interval_error(report, trace, spec, params.delta, factor)
     report.checked.append("switch_gap")
     post = [k for k in switches if k >= eta]
     for i, s in enumerate(post):

@@ -48,7 +48,6 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import DomainError, FormatError, NumericError, ParameterError, SequencingError
-from .signals import restart_index
 
 __all__ = [
     "PLUS",
@@ -259,13 +258,12 @@ class Trace:
         if any(len(getattr(self, name)) != n for name in self.COLUMNS):
             raise ParameterError("trace columns differ in length")
 
-    def x_list(self, rows: slice = slice(None)) -> list:
-        """``x[rows]`` as Python floats, None where the sample is absent."""
-        present = self.x_present[rows]
-        if not present.any():
-            return [None] * len(present)
-        x = self.x[rows].tolist()
-        return x if present.all() else [v if p else None for v, p in zip(x, present.tolist())]
+    def x_list(self) -> list:
+        """``x`` as Python floats, None where the sample is absent."""
+        if not self.x_present.any():
+            return [None] * len(self)
+        x = self.x.tolist()
+        return x if self.x_present.all() else [v if p else None for v, p in zip(x, self.x_present.tolist())]
 
     @property
     def records(self) -> tuple[StepRecord, ...]:
@@ -293,16 +291,6 @@ class Trace:
 
     def switch_indices(self) -> list[int]:
         return self.k[self.in_switch].tolist()
-
-    def estimate_at(self, t: float) -> float:
-        """Piecewise-linear reconstruction at any time covered by the trace."""
-        if not len(self):
-            raise DomainError("empty trace")
-        delta = self.params.delta
-        # a grid time k*delta is the right end of cell k-1: y[k] bit for bit on a codec trace
-        k = min(max(restart_index(delta, t) - 1, 0), len(self) - 1)
-        k, t_k, y, h, m = (column[k].item() for column in (self.k, self.t, self.y, self.h, self.m))
-        return reconstruct(StepRecord(k, t_k, None, y, h, m, False), t, delta)
 
 
 def _exact(name: str, values, dtype) -> np.ndarray:

@@ -394,8 +394,8 @@ def run_compare(config: ExperimentConfig) -> ComparisonReport:
 # --- file I/O ---------------------------------------------------------------
 
 
-# Trace CSVs are written CHUNK_ROWS rows at a time, so the cell and
-# formatting temporaries stay bounded on long traces.
+# Trace CSVs are written CHUNK_ROWS rows at a time, so every cell and
+# formatting temporary is chunk-sized, however long the trace.
 CHUNK_ROWS = 1024
 
 _HEADER_LINE = ",".join(TRACE_COLUMNS) + "\r\n"
@@ -404,34 +404,45 @@ _HEADER_LINE = ",".join(TRACE_COLUMNS) + "\r\n"
 _INT8_TEXT = tuple(map(str, range(128))) + tuple(map(str, range(-128, 0)))
 
 
-def write_trace_csv(path, trace: Trace, x_values=None) -> None:
-    """Write the fixed-schema trace CSV; ``x_values`` fills the x/err_abs
-    columns for decode-side traces whose records carry no samples.
+def _float_text(column: np.ndarray, blank=None) -> list:
+    """``repr`` of each float64 of ``column`` ("" on the rows of the mask ``blank``),
+    once per bit pattern where most repeat (-0.0 == 0.0, but their reprs differ)."""
+    codes, index = np.unique(column.view(np.int64), return_inverse=True)
+    if blank is None and 2 * len(codes) > len(index):  # mostly distinct: no lookup
+        return list(map(repr, column.tolist()))
+    text = list(map(repr, codes.view(np.float64).tolist())) + [""]
+    if blank is not None:
+        index[blank] = -1
+    return list(map(text.__getitem__, index.tolist()))
 
-    Rows end in CRLF; floats are written as ``repr``, ``in_switch`` as
-    1/0 and an absent x (with its err_abs) as an empty cell. The columns are
-    formatted from Python scalars (one ``tolist`` each), CHUNK_ROWS rows per
-    write; ``m`` takes few values, so each distinct one is formatted once.
-    """
-    # distinct bit patterns, not values: -0.0 == 0.0 but their reprs differ
-    m_codes, m_index = np.unique(trace.m.view(np.int64), return_inverse=True)
-    m_text = list(map(repr, m_codes.view(np.float64).tolist()))
+
+def write_trace_csv(path, trace: Trace, x_values=None) -> None:
+    """Write the fixed-schema trace CSV; ``x_values`` (read as float64 samples,
+    indexed by ``k``) fills x and err_abs on the rows that have no sample.
+
+    Rows end in CRLF; floats are ``repr``, ``in_switch`` 1/0, and an absent x and
+    its err_abs are empty cells. Each CHUNK_ROWS chunk is one write: x and err_abs
+    are float64 columns, and a float column that repeats takes one ``repr`` per value."""
     with _Replacing(path, encoding="ascii", newline="") as fh:
         fh.write(_HEADER_LINE)
         for lo in range(0, len(trace), CHUNK_ROWS):
             rows = slice(lo, lo + CHUNK_ROWS)
-            ks, xs, ys = trace.k[rows].tolist(), trace.x_list(rows), trace.y[rows].tolist()
-            if x_values is not None:
-                xs = [x_values[k] if x is None else x for k, x in zip(ks, xs)]
+            x, y, absent = trace.x[rows], trace.y[rows], ~trace.x_present[rows]
+            if x_values is not None and absent.any():
+                x = x.copy()
+                x[absent] = [x_values[k] for k in trace.k[rows][absent].tolist()]
+            blank = absent if x_values is None and absent.any() else None
+            with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 1e308 - -1e308
+                err = np.abs(x - y)
             cells = zip(
-                map(str, ks),
-                map(repr, trace.t[rows].tolist()),
-                ["" if x is None else repr(x) for x in xs],
-                map(repr, ys),
+                map(str, trace.k[rows].tolist()),
+                _float_text(trace.t[rows]),
+                _float_text(x, blank),
+                _float_text(y),
                 map(_INT8_TEXT.__getitem__, trace.h[rows].tolist()),
-                map(m_text.__getitem__, m_index[rows].tolist()),
-                ["1" if s else "0" for s in trace.in_switch[rows].tolist()],
-                ["" if x is None else repr(abs(x - y)) for x, y in zip(xs, ys)],
+                _float_text(trace.m[rows]),
+                map(_INT8_TEXT.__getitem__, trace.in_switch[rows].tolist()),
+                _float_text(err, blank),
             )
             fh.write("\r\n".join(map(",".join, cells)))
             fh.write("\r\n")

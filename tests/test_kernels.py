@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import random
+import tempfile
+import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 
@@ -1231,6 +1234,63 @@ def test_trace_csv_writer_matches_oracle_bytes(tmp_path, trace, x_values):
     write_trace_csv(tmp_path / "again.csv", read)
     oracle_write_trace_csv(tmp_path / "again_old.csv", read)
     assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "again_old.csv").read_bytes()
+
+
+def float_bits(*values):
+    return [int(v) for v in np.array(values, np.float64).view(np.int64)]
+
+
+# float64 bit patterns whose reprs a formatter keyed on values would get
+# wrong or mix up: signed zeros, subnormals, the extremes, infinities and
+# NaNs of either sign, quiet and signalling
+SPECIAL_FLOAT_BITS = float_bits(
+    0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf, 1e16, 1e-05, 0.1,
+) + [0x7FF8000000000000, -0x0008000000000000, 0x7FF0000000000001, -0x0000000000000001]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.one_of(st.integers(0, 40), st.sampled_from((CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 5))),
+    pools=st.lists(
+        st.lists(st.one_of(st.sampled_from(SPECIAL_FLOAT_BITS), st.integers(-2**63, 2**63 - 1)),
+                 min_size=1, max_size=6),
+        min_size=5, max_size=5),
+    x_mode=st.sampled_from(("absent", "present", "mixed")),
+    x_values_form=st.sampled_from((None, "tuple", "list", "array", "short tuple", "short array")),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=CHUNK_ROWS + 1, pools=[float_bits(0.0, -0.0)] * 5, x_mode="mixed",
+         x_values_form="short tuple", seed=0)
+@example(n=2 * CHUNK_ROWS + 5, pools=[SPECIAL_FLOAT_BITS] * 5, x_mode="absent",
+         x_values_form="array", seed=1)
+def test_trace_csv_writer_matches_oracle_on_any_float_bits(n, pools, x_mode, x_values_form, seed):
+    """Any float64 bit patterns in t, x, y, m and ``x_values``, repeated within
+    a chunk and across chunk boundaries, with x absent, present or mixed,
+    write the oracle's bytes and no RuntimeWarning. ``x_values`` are read as
+    float64 samples, so the oracle is given them as Python floats."""
+    rng = np.random.default_rng(seed)
+    t, x, y, m, samples = (np.array(pool, np.int64).view(np.float64)[rng.integers(len(pool), size=n)]
+                           for pool in pools)
+    present = {"absent": np.zeros(n, bool), "present": np.ones(n, bool), "mixed": rng.random(n) < 0.5}[x_mode]
+    trace = Trace.from_columns(
+        CodecParams(y0=5.0, m0=13.0, mbar=13.0, a=1.5, delta=0.01),
+        k=np.arange(n), t=t, y=y, h=rng.choice(np.array([PLUS, MINUS], np.int8), size=n), m=m,
+        in_switch=rng.random(n) < 0.5, substituted=None,
+        x={"absent": None, "present": x}.get(x_mode, [v if p else None for v, p in zip(x.tolist(), present)]),
+    )
+    if x_values_form is not None and x_values_form.startswith("short"):  # covers every absent k only
+        samples = samples[:np.flatnonzero(~present)[-1] + 1 if not present.all() else 0]
+    x_values = {None: None, "tuple": tuple(samples.tolist()), "list": samples.tolist(), "array": samples,
+                "short tuple": tuple(samples.tolist()), "short array": samples}[x_values_form]
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = os.path.join(tmp, "new.csv"), os.path.join(tmp, "old.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            write_trace_csv(new, trace, x_values=x_values)
+        oracle_write_trace_csv(old, trace, x_values=None if x_values is None else samples.tolist())
+        with open(new, "rb") as a, open(old, "rb") as b:
+            assert a.read() == b.read()
 
 
 def test_canonical_files_skip_the_row_loop(tmp_path, monkeypatch):

@@ -161,7 +161,7 @@ def read_bitstream(path) -> tuple[CodecParams, list[Symbol]]:
         raise FormatError(f"{path}: file truncated: need magic, header, and body lines")
     try:
         header = json.loads(lines[1])
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise FormatError(f"{path}: line 2: bad header JSON: {exc}") from exc
     required = {"y0", "M0", "Mbar", "a", "delta", "rule", "count"}
     if not isinstance(header, dict) or not required <= set(header):
@@ -176,12 +176,7 @@ def read_bitstream(path) -> tuple[CodecParams, list[Symbol]]:
     body = lines[2]
     if len(body) != count:
         raise FormatError(f"{path}: line 3: body holds {len(body)} symbols, header says {count}")
-    bits: list[Symbol] = []
-    for offset, ch in enumerate(body):
-        if ch == "1":
-            bits.append(PLUS)
-        elif ch == "0":
-            bits.append(MINUS)
-        else:
-            raise FormatError(f"{path}: line 3, offset {offset}: invalid character {ch!r}")
-    return params, bits
+    offset = len(body) - len(body.lstrip("01"))  # of the first other character
+    if offset < count:
+        raise FormatError(f"{path}: line 3, offset {offset}: invalid character {body[offset]!r}")
+    return params, [PLUS if ch == "1" else MINUS for ch in body]

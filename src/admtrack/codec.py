@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
 from itertools import islice, repeat
 from typing import Iterable, Optional
@@ -132,32 +132,19 @@ class CodecParams:
         return replace(self, rule=rule, mbar=mbar)
 
 
+# config files and ODM/1 headers name two fields otherwise
+_CODEC_KEYS = {"m0": "M0", "mbar": "Mbar"}
+
+
 def codec_to_dict(params: CodecParams) -> dict:
     """The parameters under the key names of config files and ODM/1 headers."""
-    return {
-        "y0": params.y0,
-        "M0": params.m0,
-        "Mbar": params.mbar,
-        "a": params.a,
-        "delta": params.delta,
-        "rule": params.rule.value,
-    }
+    document = {_CODEC_KEYS.get(f.name, f.name): getattr(params, f.name) for f in fields(params)}
+    return {**document, "rule": params.rule.value}
 
 
 def codec_from_dict(data: dict) -> CodecParams:
-    """Inverse of :func:`codec_to_dict` (``rule`` defaults to modified); a
-    missing key, a non-number or an out-of-range value raises FormatError."""
-    try:
-        return CodecParams(
-            y0=_number(data["y0"], "y0"),
-            m0=_number(data["M0"], "M0"),
-            mbar=_number(data["Mbar"], "Mbar"),
-            a=_number(data["a"], "a"),
-            delta=_number(data["delta"], "delta"),
-            rule=AdaptationRule(data.get("rule", "modified")),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad codec parameters {data!r}: {exc}") from exc
+    """Inverse of :func:`codec_to_dict`, by :func:`read_section`."""
+    return read_section(CodecParams, data, "codec parameters", _CODEC_KEYS)
 
 
 def _number(value, what: str, kind=float):
@@ -172,6 +159,45 @@ def _number(value, what: str, kind=float):
         raise FormatError(f"{what} is an int of {len(str(abs(value)))} digits, beyond float range") from exc
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{what} must be a number, got {value!r}") from exc
+
+
+def _integer(value, what: str) -> int:
+    """A document integer; a non-integral number is a FormatError, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise FormatError(f"{what} must be an integer, got {value!r}")
+    return _number(value, what, int)
+
+
+def _string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise FormatError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+# read_section's reader for a field, by the name of its annotated type
+_READERS = {"float": _number, "int": _integer, "str": _string}
+
+
+def read_section(cls, data, what: str, keys=None, **given):
+    """The dataclass ``cls`` from the JSON object ``data``, the section ``what``
+    of a document. Each init field not in ``given`` is read from its key
+    (``keys`` renames some) by its type's reader, or taken as it is; an absent
+    key takes the field's default. Every fault is a FormatError naming ``what``."""
+    if not isinstance(data, dict):
+        raise FormatError(f"{what} must be a JSON object, got {type(data).__name__}")
+    for f in fields(cls):
+        key = keys.get(f.name, f.name) if keys else f.name
+        if not f.init or f.name in given:
+            continue
+        if key in data:
+            read = _READERS.get(getattr(f.type, "__name__", f.type))
+            given[f.name] = read(data[key], f"{what} {key}") if read else data[key]
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise FormatError(f"{what} missing key {key!r}")
+    try:
+        return cls(**given)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{what}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,9 @@ examples)::
       "comparison": {"baseline": "jayant", "proximity_band_multiplier": 1.0}
     }
 
-``growth`` and ``comparison`` are optional. Every number in a config is a
-JSON number or a numeric string, never a bool; ``oversample_factor`` and
-``channel.seed`` must be integers, every other number must fit a float.
+Only signal, codec and horizon are required; an absent key takes its dataclass
+field's default. Numbers are JSON numbers or numeric strings, never bools;
+``oversample_factor`` and ``channel.seed`` are integers, the others fit a float.
 
 Trace CSVs have the fixed header ``k,t,x,y,h,M,in_switch,err_abs`` (x and
 err_abs cells are empty on decode-only traces); report JSONs are sorted-key
@@ -42,10 +42,10 @@ from .codec import (
     CodecParams,
     Symbol,
     Trace,
-    _number,
     codec_from_dict,
     codec_to_dict,
     encode_signal,
+    read_section,
 )
 from .channel import ChannelModel, Erasure, Noiseless, ReceivedStream, _Replacing, decode_with_erasures, transmit
 from .errors import DomainError, FormatError, ParameterError
@@ -159,119 +159,73 @@ class SimulationResult:
 # --- JSON (de)serialization ------------------------------------------------
 
 
+# the classes of the tagged sections, by their "kind"
+_SIGNALS = {"constant": Constant, "ramp": Ramp, "sine": Sine, "piecewise": Piecewise}
+_CHANNELS = {"noiseless": Noiseless, "erasure": Erasure}
+
+
+@dataclass(frozen=True)
+class _Segment:  # one entry of a piecewise signal's "segments" list
+    start: float
+    signal: dict
+
+
+def _kind(table: dict, data, what: str) -> type:
+    """The class of ``table`` that the tagged section ``data`` names."""
+    if not isinstance(data, dict):
+        raise FormatError(f"{what} must be a JSON object, got {type(data).__name__}")
+    kind = data.get("kind")
+    if not (isinstance(kind, str) and kind in table):
+        raise FormatError(f"unknown {what} kind {kind!r}")
+    return table[kind]
+
+
 def signal_from_dict(data: dict) -> SignalSpec:
-    try:
-        kind = data["kind"]
-        if kind == "constant":
-            return Constant(level=_number(data["level"], "signal.level"))
-        if kind == "ramp":
-            return Ramp(
-                slope=_number(data["slope"], "signal.slope"),
-                intercept=_number(data["intercept"], "signal.intercept"),
-            )
-        if kind == "sine":
-            return Sine(
-                amplitude=_number(data["amplitude"], "signal.amplitude"),
-                frequency_hz=_number(data["frequency_hz"], "signal.frequency_hz"),
-                phase=_number(data.get("phase", 0.0), "signal.phase"),
-            )
-        if kind == "piecewise":
-            return Piecewise(
-                segments=tuple(
-                    (_number(seg["start"], "segment start"), signal_from_dict(seg["signal"]))
-                    for seg in data["segments"]
-                )
-            )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad signal spec {data!r}: {exc}") from exc
-    raise FormatError(f"unknown signal kind {data.get('kind')!r}")
+    cls = _kind(_SIGNALS, data, "signal")
+    if cls is not Piecewise:
+        return read_section(cls, data, "signal")
+    segments = data.get("segments", [])
+    if not isinstance(segments, list):
+        raise FormatError(f"signal segments must be a JSON list, got {type(segments).__name__}")
+    segments = [read_section(_Segment, segment, "segment") for segment in segments]
+    return read_section(Piecewise, data, "signal", segments=tuple(
+        (segment.start, signal_from_dict(segment.signal)) for segment in segments))
 
 
 def channel_to_dict(model: ChannelModel) -> dict:
-    if isinstance(model, Noiseless):
-        return {"kind": "noiseless"}
-    return {"kind": "erasure", "p": model.p, "seed": model.seed}
+    return {"kind": next(kind for kind, cls in _CHANNELS.items() if isinstance(model, cls)), **vars(model)}
 
 
 def channel_from_dict(data: dict) -> ChannelModel:
-    kind = _object(data, "channel").get("kind", "noiseless")
-    if kind == "noiseless":
-        return Noiseless()
-    if kind == "erasure":
-        try:
-            return Erasure(p=_number(data["p"], "channel.p"), seed=_integer(data.get("seed", 0), "channel.seed"))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"bad erasure channel {data!r}: {exc}") from exc
-    raise FormatError(f"unknown channel kind {kind!r}")
+    return read_section(_kind(_CHANNELS, data, "channel"), data, "channel")
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
+    """An experiment config from its JSON document; every section is read by
+    :func:`read_section`, so an absent optional key takes its field's default."""
     if not isinstance(data, dict):
         raise FormatError("config must be a JSON object")
     missing = {"signal", "codec", "horizon"} - set(data)
     if missing:
         raise FormatError(f"config missing keys: {sorted(missing)}")
-    growth = None
-    if "growth" in data and data["growth"] is not None:
-        g = data["growth"]
-        try:
-            growth = GrowthBound(
-                scale=_number(g["scale"], "growth.scale"),
-                exponent=_number(g.get("exponent", 1.0), "growth.exponent"),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"bad growth section {g!r}: {exc}") from exc
-    comparison = None
-    if "comparison" in data and data["comparison"] is not None:
-        c = _object(data["comparison"], "comparison")
-        try:
-            baseline = AdaptationRule(c.get("baseline", "jayant"))
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"comparison.baseline: {exc}") from exc
-        comparison = ComparisonSettings(
-            baseline=baseline,
-            proximity_band_multiplier=_number(
-                c.get("proximity_band_multiplier", 1.0), "comparison.proximity_band_multiplier"
-            ),
-        )
-    outputs = _object(data.get("outputs", {}), "outputs")
-    names = {}
-    for key, default in (("trace_csv", "trace.csv"), ("report_json", "report.json")):
-        names[key] = outputs.get(key, default)
-        if not isinstance(names[key], str):
-            raise FormatError(f"outputs.{key} must be a file name, got {names[key]!r}")
-    return ExperimentConfig(
-        signal=signal_from_dict(data["signal"]),
-        codec=codec_from_dict(data["codec"]),
-        horizon=_number(data["horizon"], "horizon"),
-        channel=channel_from_dict(data.get("channel", {"kind": "noiseless"})),
-        oversample_factor=_integer(data.get("oversample_factor", 32), "oversample_factor"),
-        growth=growth,
-        outputs=ExperimentOutputs(**names),
-        comparison=comparison,
-    )
-
-
-def _object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise FormatError(f"{what} must be a JSON object, got {value!r}")
-    return value
-
-
-def _integer(value, what: str) -> int:
-    """A document integer; a non-integral number is a FormatError, not truncated."""
-    if isinstance(value, float) and not value.is_integer():
-        raise FormatError(f"{what} must be an integer, got {value!r}")
-    return _number(value, what, int)
+    given = {"signal": signal_from_dict(data["signal"]), "codec": codec_from_dict(data["codec"])}
+    if "channel" in data:
+        given["channel"] = channel_from_dict(data["channel"])
+    if "outputs" in data:
+        given["outputs"] = read_section(ExperimentOutputs, data["outputs"], "outputs")
+    for key, cls in (("growth", GrowthBound), ("comparison", ComparisonSettings)):
+        if data.get(key) is not None:  # null is the field's default, None
+            given[key] = read_section(cls, data[key], key)
+    return read_section(ExperimentConfig, data, "config", **given)
 
 
 def load_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            # a RecursionError: nesting deeper than the parser or the section readers can follow
+            return config_from_dict(json.load(fh))
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise FormatError(f"{path}: bad JSON: {exc}") from exc
-    return config_from_dict(data)
 
 
 # --- simulation ------------------------------------------------------------

@@ -175,7 +175,7 @@ class GrowthBound:
     """Certifies |x(t + tau)| <= scale * (|x(t)| + tau**exponent)."""
 
     scale: float
-    exponent: float
+    exponent: float = 1.0
 
     def __post_init__(self) -> None:
         # written so that nan fails too
@@ -257,11 +257,9 @@ def estimate_variation_bound(
     alpha, beta = window
     if not alpha < beta:
         raise ParameterError(f"empty window: {window}")
-    k_lo = max(int(math.floor(alpha / delta)) - 1, 0)
-    k_hi = int(math.ceil(beta / delta)) + 1
-    ks = np.arange(k_lo, k_hi, dtype=np.int64)
-    with np.errstate(over="ignore"):  # a cell end past float range lies past beta too
-        ks = ks[~((ks * delta < alpha) | ((ks + 1) * delta > beta))]
+    # full cells: from the first grid time at or after alpha to the last one at or before beta
+    k_end = restart_index(delta, beta)
+    ks = np.arange(restart_index(delta, alpha), k_end - (k_end * delta > beta), dtype=np.int64)
     if len(ks) == 0:
         raise DomainError(f"window {window} contains no full grid cell at delta={delta}")
     worst = 0.0

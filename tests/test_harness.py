@@ -43,7 +43,10 @@ from admtrack import (
 )
 from admtrack.cli import _build_parser, main
 import admtrack.harness as harness
-from admtrack.harness import TRACE_COLUMNS, config_from_dict, write_json
+from admtrack.channel import Erasure, Noiseless
+from admtrack.codec import codec_from_dict, codec_to_dict
+from admtrack.harness import TRACE_COLUMNS, channel_from_dict, channel_to_dict, config_from_dict, write_json
+from admtrack.signals import GrowthBound
 
 from conftest import HAND_BODY
 
@@ -87,6 +90,70 @@ class TestConfig:
             jump_config(horizon=0.01)
 
 
+MINIMAL_CONFIG = {
+    "signal": {"kind": "sine", "amplitude": 1.0, "frequency_hz": 1.0},
+    "codec": {"y0": 5.0, "M0": 13.0, "Mbar": 13.0, "a": 1.5, "delta": 0.01},
+    "horizon": 4.0,
+}
+
+
+def test_absent_keys_take_the_dataclass_defaults():
+    expected = ExperimentConfig(Sine(amplitude=1.0, frequency_hz=1.0),
+                                CodecParams(y0=5.0, m0=13.0, mbar=13.0, a=1.5, delta=0.01), 4.0)
+    assert config_from_dict(MINIMAL_CONFIG) == expected
+    spelled_out = copy.deepcopy(MINIMAL_CONFIG)
+    spelled_out["signal"]["phase"] = 0.0
+    spelled_out["codec"]["rule"] = "modified"
+    spelled_out.update(channel={"kind": "noiseless"}, oversample_factor=32, growth=None, comparison=None,
+                       outputs={"trace_csv": "trace.csv", "report_json": "report.json"})
+    assert config_from_dict(spelled_out) == expected
+    # the defaults inside the optional sections
+    sections = {"growth": {"scale": 8.0}, "comparison": {}, "channel": {"kind": "erasure", "p": 0.1}}
+    config = config_from_dict({**MINIMAL_CONFIG, **sections})
+    assert config.growth == GrowthBound(scale=8.0, exponent=1.0)
+    assert config.comparison == ComparisonSettings(baseline=AdaptationRule.JAYANT, proximity_band_multiplier=1.0)
+    assert config.channel == Erasure(p=0.1, seed=0)
+    sections = {"growth": {"scale": 8.0, "exponent": 1.0}, "channel": {"kind": "erasure", "p": 0.1, "seed": 0},
+                "comparison": {"baseline": "jayant", "proximity_band_multiplier": 1.0}}
+    assert config_from_dict({**MINIMAL_CONFIG, **sections}) == config
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("signal", {"kind": "sine", "amplitude": 1.0}, "signal missing key 'frequency_hz'"),
+    ("signal", {"kind": "piecewise", "segments": [{"signal": {"kind": "constant", "level": 1.0}}]},
+     "segment missing key 'start'"),
+    ("codec", {"y0": 0.0, "Mbar": 0.0, "a": 1.5, "delta": 0.1}, "codec parameters missing key 'M0'"),
+    ("channel", {"kind": "erasure"}, "channel missing key 'p'"),
+    ("growth", {"exponent": 1.0}, "growth missing key 'scale'"),
+])
+def test_missing_key_error_names_section_and_key(key, value, message):
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        config_from_dict({**MINIMAL_CONFIG, key: value})
+
+
+CODEC_NUMBERS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(y0=CODEC_NUMBERS, m0=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+       mbar=st.floats(min_value=0.0, allow_infinity=False), a=st.floats(min_value=1.0, max_value=2.0, exclude_min=True),
+       delta=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), jayant=st.booleans())
+def test_codec_dict_round_trip(y0, m0, mbar, a, delta, jayant):
+    params = CodecParams(y0=y0, m0=m0, mbar=0.0 if jayant else mbar, a=a, delta=delta,
+                         rule=AdaptationRule.JAYANT if jayant else AdaptationRule.MODIFIED)
+    document = codec_to_dict(params)
+    assert document["rule"] == params.rule.value and type(document["rule"]) is str
+    assert json.loads(json.dumps(document)) == document
+    assert codec_from_dict(document) == params
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=st.just(Noiseless()) | st.builds(Erasure, p=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+                                             seed=st.integers(min_value=0, max_value=2**64)))
+def test_channel_dict_round_trip(model):
+    assert channel_from_dict(channel_to_dict(model)) == model
+
+
 BAD_CONFIG_VALUES = [
     ("horizon", "x"),
     ("oversample_factor", "x"),
@@ -124,6 +191,19 @@ def _bad_config(key, value, name="compare_jump.json"):
 def test_bad_config_value_is_a_format_error(key, value):
     with pytest.raises(FormatError):
         config_from_dict(_bad_config(key, value))
+
+
+def test_deeply_nested_config_exits_2(tmp_path, capsys):
+    # a signal of 380 nested piecewise levels ended in a RecursionError traceback (exit 1)
+    level = '{"kind": "piecewise", "segments": [{"start": 0.0, "signal": '
+    document = json.loads((CONFIGS / "sine_steady.json").read_text(encoding="utf-8"))
+    text = json.dumps({**document, "signal": None}).replace(
+        "null", level * 380 + '{"kind": "constant", "level": 1.0}' + "}]}" * 380)
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: bad JSON") and err.count("error:") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify", "compare"])
@@ -611,11 +691,14 @@ class TestCliEncodeDecode:
             ('ODM/1\n{"y0": 0.0, "count": 0}\n\n', "line 2: header must carry keys"),
             (f'ODM/1\n{HEADER[:-1]}, "count": true}}\n1\n', "line 2: count must be"),
             (f'ODM/1\n{HEADER[:-1]}, "count": -1}}\n\n', "line 2: count must be"),
-            (f'ODM/1\n{HEADER[:-1].replace("2.0", "9.0")}, "count": 0}}\n\n', "line 2: bad codec parameters"),
+            (f'ODM/1\n{HEADER[:-1].replace("2.0", "9.0")}, "count": 0}}\n\n', "line 2: codec parameters: adaptation factor"),
             (f'ODM/1\n{HEADER[:-1]}, "count": 2}}\n1\n', "line 3: body holds 1 symbols"),
             (f'ODM/1\n{HEADER[:-1]}, "count": 1}}\nx\n', "line 3, offset 0: invalid character"),
+            (f'ODM/1\n{HEADER[:-1]}, "count": 5}}\n10x10\n', "line 3, offset 2: invalid character 'x'"),
+            (f'ODM/1\n{HEADER[:-1]}, "count": 4}}\n0102\n', "line 3, offset 3: invalid character '2'"),
         ],
-        ids=["magic", "truncated", "json", "keys", "count_bool", "count_negative", "params", "length", "char"],
+        ids=["magic", "truncated", "json", "keys", "count_bool", "count_negative", "params", "length", "char",
+             "char_mid", "char_last"],
     )
     def test_bad_bitstream_error_names_the_file(self, tmp_path, capsys, text, message):
         odm = tmp_path / "bad.odm"
@@ -624,6 +707,15 @@ class TestCliEncodeDecode:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {odm}: {message}")
         assert "Traceback" not in err
+
+    def test_deeply_nested_header_exits_2(self, tmp_path, capsys):
+        # 100,000 nested arrays ended in a RecursionError traceback (exit 1)
+        odm = tmp_path / "deep.odm"
+        odm.write_text("ODM/1\n" + "[" * 100_000 + "\n1\n", encoding="ascii")
+        assert main(["decode", str(odm)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {odm}: line 2: bad header JSON")
+        assert err.count("error:") == 1 and "Traceback" not in err
 
     def test_bitstream_header_numbers_read_as_in_configs(self, tmp_path, capsys):
         # the header goes through codec_from_dict, like a config's codec section:

@@ -159,6 +159,18 @@ class TestVariationBound:
         with pytest.raises(DomainError):
             estimate_variation_bound(Constant(0.0), 1.0, (0.1, 0.9))
 
+    def test_only_full_cells_inside_the_window_count(self):
+        # jumps at 0.5 and 2.5 lie in the cells [0, 1] and [2, 3], which stick out of the window
+        spec = Piecewise(segments=((0.0, Constant(5.0)), (0.5, Constant(0.0)), (2.5, Constant(10.0))))
+        assert estimate_variation_bound(spec, 1.0, (0.5, 2.5)).rate == 0.0
+        # a window ending on the grid keeps its last cell, which sees the value at t = 3.0
+        assert estimate_variation_bound(spec, 1.0, (0.5, 3.0)).rate == 10.0
+
+    def test_infinite_window_end_is_a_parameter_error(self):
+        # the full-cell range ends at restart_index(delta, beta); this was a raw OverflowError
+        with pytest.raises(ParameterError, match="a grid index must be below 2"):
+            estimate_variation_bound(Constant(0.0), 1.0, (0.0, math.inf))
+
     def test_rejects_small_factor(self):
         with pytest.raises(ParameterError):
             estimate_variation_bound(Constant(0.0), 1.0, (0.0, 2.0), oversample_factor=1)

@@ -138,10 +138,13 @@ class _Replacing:
 
 def write_bitstream(path, params: CodecParams, bits: Sequence[Symbol]) -> None:
     """Write an ODM/1 file; the header floats round-trip exactly."""
-    for k, b in enumerate(bits):
-        if b != PLUS and b != MINUS:
-            raise FormatError(f"symbol at position {k} is {b!r}, not +1/-1")
-    body = "".join("1" if b == PLUS else "0" for b in bits)
+    try:  # one C-level pass checks and spells every symbol; True and 1.0 hash as 1
+        body = "".join(map({PLUS: "1", MINUS: "0"}.__getitem__, bits))
+    except (KeyError, TypeError):  # name the first bad symbol, or spell an unhashable one
+        for k, b in enumerate(bits):
+            if b != PLUS and b != MINUS:
+                raise FormatError(f"symbol at position {k} is {b!r}, not +1/-1") from None
+        body = "".join("1" if b == PLUS else "0" for b in bits)
     header = json.dumps({**codec_to_dict(params), "count": len(bits)}, sort_keys=True)
     with _Replacing(path, encoding="ascii") as fh:
         fh.write(f"{MAGIC}\n{header}\n{body}\n")

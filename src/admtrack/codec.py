@@ -37,6 +37,7 @@ columns.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from bisect import bisect_left
@@ -178,6 +179,13 @@ def _string(value, what: str) -> str:
 _READERS = {"float": _number, "int": _integer, "str": _string}
 
 
+@functools.cache
+def _field_plan(cls) -> tuple:
+    """(name, required, reader or None) of each init field of the dataclass ``cls``."""
+    return tuple((f.name, f.default is MISSING and f.default_factory is MISSING,
+                  _READERS.get(getattr(f.type, "__name__", f.type))) for f in fields(cls) if f.init)
+
+
 def read_section(cls, data, what: str, keys=None, **given):
     """The dataclass ``cls`` from the JSON object ``data``, the section ``what``
     of a document. Each init field not in ``given`` is read from its key
@@ -185,14 +193,13 @@ def read_section(cls, data, what: str, keys=None, **given):
     key takes the field's default. Every fault is a FormatError naming ``what``."""
     if not isinstance(data, dict):
         raise FormatError(f"{what} must be a JSON object, got {type(data).__name__}")
-    for f in fields(cls):
-        key = keys.get(f.name, f.name) if keys else f.name
-        if not f.init or f.name in given:
+    for name, required, read in _field_plan(cls):
+        if name in given:
             continue
+        key = keys.get(name, name) if keys else name
         if key in data:
-            read = _READERS.get(getattr(f.type, "__name__", f.type))
-            given[f.name] = read(data[key], f"{what} {key}") if read else data[key]
-        elif f.default is MISSING and f.default_factory is MISSING:
+            given[name] = read(data[key], f"{what} {key}") if read else data[key]
+        elif required:
             raise FormatError(f"{what} missing key {key!r}")
     try:
         return cls(**given)

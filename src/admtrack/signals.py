@@ -54,6 +54,8 @@ __all__ = [
 # Grid cells evaluated per numpy batch by the cell-grid kernels; bounds their
 # temporaries to a few hundred kB whatever the trace length.
 CHUNK_CELLS = 1024
+_EPS = 2.0**-52  # float64's rounding unit doubled, the eps of cell_reach's budget
+_TINY = 8 * 2.0**-1074  # 8 subnormals, for rounding near 0
 
 
 def _check_float_range(what: str, value) -> None:
@@ -68,6 +70,15 @@ class _Signal:
         """x(t) at one time as a Python float: ``at_array`` on that time."""
         with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, as at_array gives
             return self.at_array(np.array([t], dtype=float))[0].item()
+
+    def cell_reach(self, ks: np.ndarray, delta: float) -> Optional[np.ndarray]:
+        """Per cell k of ``ks``, a bound on |x(t) - x(k*delta)| over its
+        :func:`cell_grid` times t at any factor, as ``at_array`` rounds x; None
+        (scan every cell) here, where a parameter is not finite or a term
+        overflows. Budget (eps = 2**-52, T = (k+1)*delta of the farthest cell):
+        |t - k*delta| <= delta*(1 + 2eps) + eps*T; the kinds charge each
+        rounding twice over, which covers the bound's own, plus 8 subnormals."""
+        return None
 
 
 class _FloatFields(_Signal):
@@ -85,6 +96,10 @@ class Constant(_FloatFields):
     def at_array(self, t: np.ndarray) -> np.ndarray:
         return np.full(t.shape, self.level, dtype=float)
 
+    def cell_reach(self, ks: np.ndarray, delta: float) -> Optional[np.ndarray]:
+        """0: a finite level does not move."""
+        return np.zeros(len(ks)) if math.isfinite(self.level) else None
+
 
 @dataclass(frozen=True)
 class Ramp(_FloatFields):
@@ -93,6 +108,12 @@ class Ramp(_FloatFields):
 
     def at_array(self, t: np.ndarray) -> np.ndarray:
         return self.intercept + self.slope * t
+
+    def cell_reach(self, ks: np.ndarray, delta: float) -> Optional[np.ndarray]:
+        """|slope|*delta, plus 8eps*(|slope|*T + |intercept|) for rounding t and x."""
+        s = abs(self.slope)
+        reach = s * delta * (1 + 8 * _EPS) + 8 * _EPS * (s * _cell_end(ks, delta) + abs(self.intercept)) + _TINY
+        return np.full(len(ks), reach) if math.isfinite(reach) else None
 
 
 @dataclass(frozen=True)
@@ -103,6 +124,17 @@ class Sine(_FloatFields):
 
     def at_array(self, t: np.ndarray) -> np.ndarray:
         return self.amplitude * np.sin(2.0 * math.pi * self.frequency_hz * t + self.phase)
+
+    def cell_reach(self, ks: np.ndarray, delta: float) -> Optional[np.ndarray]:
+        """|A|*min(2, w*(|cos u_k| + 8eps) + w**2/2) + 16eps*|A|: sin(u + v) - sin(u)
+        = v*cos(u) - (v**2/2)*sin(xi) for u = c*t + phase, w bounds |v| with the
+        rounding of t and u, and 8eps, 16eps*|A| cover libm's sin, cos and products."""
+        c = 2.0 * math.pi * self.frequency_hz
+        w = abs(c) * delta * (1 + 8 * _EPS) + 8 * _EPS * (abs(c) * _cell_end(ks, delta) + abs(self.phase))
+        if not math.isfinite(w * self.amplitude):
+            return None
+        cos_k = np.abs(np.cos(c * (ks * delta) + self.phase))
+        return abs(self.amplitude) * (np.minimum(2.0, cos_k * w + (8 * _EPS * w + w * w / 2)) + 16 * _EPS) + _TINY
 
 
 @dataclass(frozen=True)
@@ -226,6 +258,13 @@ def sample(spec: SignalSpec, delta: float, horizon: float) -> SampledSignal:
     return SampledSignal(delta=delta, values=tuple(x.tolist()), spec=spec)
 
 
+def _cell_end(ks: np.ndarray, delta: float) -> float:
+    """T of :meth:`_Signal.cell_reach`, or inf (no bound) where k*delta does not
+    resolve delta or delta/factor may be subnormal."""
+    t_hi = (int(np.abs(ks).max(initial=0)) + 1) * delta
+    return t_hi if delta >= 2.0**-900 and t_hi * _EPS < delta else math.inf
+
+
 def cell_grid(ks: np.ndarray, delta: float, factor: int) -> np.ndarray:
     """Oversampled times covering the cells [k*delta, (k+1)*delta] of ``ks``,
     one row per cell: ``k*delta + j*(delta/factor)`` for j < factor, then
@@ -250,7 +289,8 @@ def estimate_variation_bound(
 
     Scans every full cell [t_k, t_{k+1}] inside the window and takes
     ``max |x(t) - x(t_k)| / delta`` over ``oversample_factor + 1`` points per
-    cell. Nondecreasing when the factor is refined to a multiple.
+    cell. Nondecreasing when the factor is refined to a multiple. A cell whose ``cell_reach`` is at
+    most the worst value reached (each chunk's |x(t_{k+1}) - x(t_k)| first) gets no grid row.
     """
     if oversample_factor < 2:
         raise ParameterError("oversample_factor must be >= 2")
@@ -264,9 +304,15 @@ def estimate_variation_bound(
         raise DomainError(f"window {window} contains no full grid cell at delta={delta}")
     worst = 0.0
     for lo in range(0, len(ks), CHUNK_CELLS):
-        x = spec.at_array(cell_grid(ks[lo:lo + CHUNK_CELLS], delta, oversample_factor))
+        chunk = ks[lo:lo + CHUNK_CELLS]
+        reach = spec.cell_reach(chunk, delta)
+        if reach is not None:
+            x_k = spec.at_array(np.arange(chunk[0], chunk[-1] + 2) * delta)
+            worst = float(np.fmax.reduce(np.abs(x_k[1:] - x_k[:-1]), initial=worst))
+            chunk = chunk[~(reach <= worst)]  # NaN keeps the cell
+        x = spec.at_array(cell_grid(chunk, delta, oversample_factor))
         # column 0 is x(t_k); fmax skips NaN as the comparison max(worst, err) would
-        worst = max(worst, float(np.fmax.reduce(np.abs(x - x[:, :1]), axis=None)))
+        worst = float(np.fmax.reduce(np.abs(x - x[:, :1]), axis=None, initial=worst))
     return VariationBound(rate=worst / delta, window=(alpha, beta), oversample_factor=oversample_factor)
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .codec import AdaptationRule, CodecParams, Trace
 from .errors import DivergenceError, DomainError, NumericError, ParameterError
-from .signals import CHUNK_CELLS, GrowthBound, SampledSignal, VariationBound, cell_grid, restart_index
+from .signals import _EPS, _TINY, CHUNK_CELLS, GrowthBound, SampledSignal, VariationBound, cell_grid, restart_index
 
 __all__ = [
     "Violation",
@@ -370,14 +370,23 @@ def _check_interval_error(report, trace, spec, delta, factor) -> None:
     :func:`admtrack.codec.reconstruct` on the cell's :func:`cell_grid` row
     (elapsed time exactly ``delta`` at its right end), evaluated CHUNK_CELLS
     cells at a time. The cells are the grid's, whatever the trace's ``t``
-    column says; :func:`admtrack.codec.check_trace` checks that column."""
+    column says; :func:`admtrack.codec.check_trace` checks that column. A cell
+    gets no row where |x_k - y| at both ends of y's segment, plus ``cell_reach``
+    and a rounding slack, stays within the bound."""
     eta = report.eta
     ks = np.arange(eta, len(trace), dtype=np.int64)
     y = trace.y[eta:]
     hm = trace.h[eta:] * trace.m[eta:]
     bound = report.interval_error_bound
     for lo in range(0, len(ks), CHUNK_CELLS):
-        rows = slice(lo, lo + CHUNK_CELLS)
+        rows = np.arange(lo, min(lo + CHUNK_CELLS, len(ks)))
+        reach = spec.cell_reach(ks[rows], delta)
+        if reach is not None:
+            x_k, y_k, hm_k = spec.at_array(ks[rows] * delta), y[rows], hm[rows]
+            with np.errstate(over="ignore", invalid="ignore"):
+                env = np.maximum(np.abs(x_k - y_k), np.abs(x_k - (y_k + hm_k * delta))) + reach
+                slack = 8 * _EPS * (env + np.abs(y_k) + np.abs(hm_k) * ((ks[rows] + 2) * delta)) + _TINY
+            rows = rows[~(env + slack <= bound)]  # NaN or inf keeps the cell
         t = cell_grid(ks[rows], delta, factor)
         elapsed = np.where(t == t[:, -1:], delta, t - t[:, :1])
         with np.errstate(invalid="ignore"):  # an infinite slope times the elapsed 0 of a cell start
@@ -386,10 +395,5 @@ def _check_interval_error(report, trace, spec, delta, factor) -> None:
         # fmax/nanargmax skip NaN as the comparison err > worst would
         for i in np.nonzero(np.fmax.reduce(err, axis=1) > bound)[0]:
             j = int(np.nanargmax(err[i]))
-            report.violations.append(
-                Violation(
-                    "interval_error",
-                    int(ks[lo + i]),
-                    f"|x - y| = {float(err[i, j])} at t={float(t[i, j])} > {bound}",
-                )
-            )
+            detail = f"|x - y| = {float(err[i, j])} at t={float(t[i, j])} > {bound}"
+            report.violations.append(Violation("interval_error", int(ks[rows[i]]), detail))

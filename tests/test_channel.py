@@ -1,7 +1,10 @@
 """Transport models and the ODM/1 bitstream format."""
 
+import math
 import random
+import re
 
+import numpy as np
 import pytest
 
 from admtrack import (
@@ -162,6 +165,20 @@ class TestBitstreamFile:
     def test_erased_symbols_not_serializable(self, tmp_path, hand_params):
         with pytest.raises(FormatError):
             write_bitstream(tmp_path / "none.odm", hand_params, [1, None, -1])
+
+    def test_symbols_equal_to_plus_or_minus_one_are_written(self, tmp_path, hand_params):
+        # True and 1.0 compare (and hash) equal to +1; a 0-d array compares equal but has no hash
+        path = tmp_path / "loose.odm"
+        write_bitstream(path, hand_params, [True, 1.0, -1, -1.0, np.int8(1), np.array(-1), np.array(1)])
+        assert path.read_text().split("\n")[2] == "1100101"
+
+    @pytest.mark.parametrize("bad", [2, 0, None, "1", [1], math.nan, False])
+    def test_first_bad_symbol_is_named(self, tmp_path, hand_params, bad):
+        path = tmp_path / "bad.odm"
+        message = f"symbol at position 5 is {bad!r}, not +1/-1"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            write_bitstream(path, hand_params, [1, -1, 1, 1, -1, bad, 7])
+        assert not path.exists() and not (tmp_path / "bad.odm.tmp").exists()
 
     def test_header_params_validated(self, tmp_path):
         path = tmp_path / "params.odm"

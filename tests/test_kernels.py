@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 
 import admtrack.codec as codec
 import admtrack.harness as harness
+import admtrack.signals as signals
 import admtrack.theory as theory
 from admtrack import (
     MINUS,
@@ -409,6 +410,161 @@ def test_tampered_record_time_is_check_traces_finding():
     assert "interval_error" in report.checked
     assert report.to_dict() == verify_theorem(trace, samples, variation).to_dict()
     assert check_trace(tampered) == [(k, f"t={records[k].t!r} != k*delta={trace.t[k].item()!r}")]
+
+
+# --- cell_reach pruning ----------------------------------------------------------
+#
+# Both oversampled scans skip the cells whose closed-form cell_reach shows they
+# cannot matter. Their oracle is the same code with every cell_reach returning
+# None, which builds a grid row for every cell.
+
+
+def unpruned(fn, *args, **kwargs):
+    with pytest.MonkeyPatch.context() as patch:
+        for kind in (Constant, Ramp, Sine):
+            patch.setattr(kind, "cell_reach", lambda self, ks, delta: None)
+        return fn(*args, **kwargs)
+
+
+def magnitudes(low, high):
+    """Signed numbers spread evenly over the decades 10**low to 10**high."""
+    return st.builds(lambda e, sign: sign * 10.0**e, st.floats(low, high), st.sampled_from([-1.0, 1.0]))
+
+
+@st.composite
+def leaf_cases(draw):
+    """(spec, delta, factor): a Constant, Ramp or Sine of size 1e-300 to 1e6
+    (its level, its move over a cell, its amplitude) at a delta of 1e-9 to 1e4."""
+    delta = 10.0 ** draw(st.floats(-9.0, 4.0))
+    size = draw(magnitudes(-300.0, 6.0))
+    kind = draw(st.sampled_from(["constant", "ramp", "sine"]))
+    if kind == "constant":
+        spec = Constant(size)
+    elif kind == "ramp":
+        spec = Ramp(slope=size / delta, intercept=draw(magnitudes(-300.0, 6.0)))
+    else:
+        cycles = 10.0 ** draw(st.floats(-4.0, 0.5))  # per cell: c*delta runs past 2
+        spec = Sine(amplitude=size, frequency_hz=cycles / delta, phase=draw(st.floats(-1e3, 1e3)))
+    return spec, delta, draw(st.integers(2, 64))
+
+
+PEAK_CELL = (Sine(amplitude=1.0, frequency_hz=0.25 / math.pi, phase=math.pi / 2), 1.0, 8)  # cos(u_0) ~ 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=leaf_cases(), first=st.integers(0, 10**9), cells=st.integers(1, 64))
+@example(case=PEAK_CELL, first=0, cells=1)
+def test_cell_reach_bounds_every_grid_point(case, first, cells):
+    spec, delta, factor = case
+    ks = np.arange(first, first + cells)
+    reach = spec.cell_reach(ks, delta)
+    assert reach is not None and reach.shape == (cells,)
+    x = spec.at_array(cell_grid(ks, delta, factor))
+    assert_bitwise_equal(x[:, 0], spec.at_array(ks * delta))
+    assert (np.abs(x - x[:, :1]).max(axis=1) <= reach).all()
+
+
+@pytest.mark.parametrize(
+    "spec,k,delta",
+    [
+        (Piecewise(segments=((0.0, Sine(1.0, 1.0)),)), 0, 0.01),
+        (Sine(amplitude=math.inf, frequency_hz=1.0), 0, 0.01),
+        (Sine(amplitude=1.0, frequency_hz=math.nan), 0, 0.01),
+        (Sine(amplitude=1.0, frequency_hz=1.0, phase=math.inf), 0, 0.01),
+        (Sine(amplitude=1.0, frequency_hz=1e300), 10**9, 1e10),  # c*delta overflows
+        (Ramp(slope=1e300, intercept=0.0), 10**9, 1e10),  # slope*delta overflows
+        (Ramp(slope=1.0, intercept=math.nan), 0, 0.01),
+        (Constant(math.inf), 0, 0.01),
+        (Sine(amplitude=1.0, frequency_hz=1.0), 0, 1e-300),  # delta/factor may be subnormal
+        (Ramp(slope=1.0, intercept=0.0), 2**52, 1.0),  # k*delta no longer resolves delta
+    ],
+)
+def test_cell_reach_declines_outside_its_budget(spec, k, delta):
+    assert spec.cell_reach(np.array([k]), delta) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=leaf_cases(), first=st.integers(0, 10**6), cells=st.integers(1, 1500))
+@example(case=PEAK_CELL, first=0, cells=1)
+def test_pruned_variation_rate_equals_the_full_scan(case, first, cells):
+    spec, delta, factor = case
+    window = (first * delta, (first + cells) * delta)
+    rate = estimate_variation_bound(spec, delta, window, factor).rate
+    assert repr(rate) == repr(unpruned(estimate_variation_bound, spec, delta, window, factor).rate)
+
+
+@st.composite
+def near_bound_runs(draw):
+    """(trace, samples, variation, factor) over a Constant, Ramp or Sine, built
+    column by column. Step 0 is settled; after it each sample error is 0.95 to
+    1.05 times the interval bound less the cell's reach, the symbol mostly
+    points towards x, and the slope is mbar, a*mbar or infinite (never on a
+    switch: the settling window of an infinite slope is not defined)."""
+    spec, delta, factor = draw(leaf_cases())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 1200))
+    ks = np.arange(n)
+    x = spec.at_array(ks * delta)
+    if isinstance(spec, Sine):
+        scale = abs(spec.amplitude * 2.0 * math.pi * spec.frequency_hz)
+    else:
+        scale = abs(spec.slope) if isinstance(spec, Ramp) else abs(spec.level) / delta
+    rate = scale * draw(st.sampled_from([0.0, 0.5, 1.0]))
+    mbar = 2.0 * rate + scale * draw(st.floats(0.01, 2.0))
+    params = CodecParams(y0=x[0].item(), m0=mbar, mbar=mbar, a=draw(st.floats(1.1, 2.0)), delta=delta)
+    bound = theory.steady_error_bounds(params, rate)[1]
+    reach = spec.cell_reach(ks, delta)
+    err = rng.choice([-1.0, 1.0], n) * rng.uniform(0.95, 1.05, n) * np.maximum(bound - reach, 0.0)
+    err[0] = 0.0
+    h = np.where(rng.random(n) < 0.8, np.where(err < 0.0, -1, 1), rng.choice([-1, 1], n))
+    m = rng.choice([mbar, params.a * mbar, math.inf], n, p=[0.6, 0.3, 0.1])
+    m[0] = mbar
+    trace = Trace.from_columns(
+        params, k=ks, t=ks * delta, x=x, y=x - err, h=h, m=m,
+        in_switch=(rng.random(n) < 0.3) & (m != math.inf), substituted=None,
+    )
+    variation = VariationBound(rate=rate, window=(0.0, n * delta), oversample_factor=factor)
+    return trace, SampledSignal(delta=delta, values=x, spec=spec), variation, factor
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=near_bound_runs())
+def test_pruned_verify_theorem_equals_the_full_scan(run):
+    trace, samples, variation, factor = run
+    report = verify_theorem(trace, samples, variation, oversample_factor=factor)
+    assert "interval_error" in report.checked
+    assert report.to_dict() == unpruned(verify_theorem, trace, samples, variation, oversample_factor=factor).to_dict()
+
+
+def sine_verify_rows(spec):
+    """Grid rows each scan builds on a 10,000-step run like the sine_verify
+    benchmark's, with the cells each scan covers."""
+    delta = 0.01
+    params = CodecParams(y0=5.0, m0=13.0, mbar=13.0, a=1.5, delta=delta)
+    rows = {signals: 0, theory: 0}
+    with pytest.MonkeyPatch.context() as patch:
+        for module in rows:
+            def counting(ks, delta, factor, module=module):
+                rows[module] += len(ks)
+                return cell_grid(ks, delta, factor)
+
+            patch.setattr(module, "cell_grid", counting)
+        samples = sample(spec, delta, 100.0)
+        variation = estimate_variation_bound(spec, delta, (0.0, len(samples) * delta), 32)
+        _, trace = encode_signal(params, samples)
+        report = verify_theorem(trace, samples, variation, growth=GrowthBound(scale=8.0), oversample_factor=32)
+    assert report.ok and len(report.checked) == 8
+    return rows[signals], len(samples), rows[theory], len(samples) - report.eta
+
+
+def test_the_scans_build_grid_rows_only_for_cells_that_can_matter():
+    sine = Sine(amplitude=0.9, frequency_hz=1.0, phase=1.0)
+    variation_rows, cells, interval_rows, steady = sine_verify_rows(sine)
+    assert cells == 10_000
+    assert variation_rows < 0.25 * cells
+    assert interval_rows < 0.01 * steady
+    # a Piecewise spec has no cell_reach: every cell gets its row
+    assert sine_verify_rows(Piecewise(segments=((0.0, sine),))) == (cells, cells, steady, steady)
 
 
 # --- codec kernel -------------------------------------------------------------

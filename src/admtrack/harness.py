@@ -62,7 +62,7 @@ from .signals import (
     restart_index,
     sample,
 )
-from .theory import TheoremReport, verify_theorem
+from .theory import TheoremReport, steady_error_bounds, verify_theorem
 
 __all__ = [
     "TRACE_COLUMNS",
@@ -280,15 +280,15 @@ def recovery_steps(errors: list[float], start: int, band: float) -> Optional[int
     return None
 
 
-def _segment_variation_rate(config: ExperimentConfig, horizon_end: float) -> float:
-    """Largest per-segment variation rate, jumps excluded.
+def _segment_variation_rate(config: ExperimentConfig, jumps: list[float], horizon_end: float) -> float:
+    """Largest variation rate over the segments between ``jumps`` (the jump
+    times inside (0, horizon_end)), jumps excluded.
 
     Cells are closed intervals, so a window ending exactly on a jump would
     see the jump's right value at its last point; each segment's window is
     clipped back to the last grid time strictly before the jump.
     """
     delta = config.codec.delta
-    jumps = [t for t, _ in discontinuities(config.signal) if 0.0 < t < horizon_end]
     edges = [0.0] + jumps + [horizon_end]
     worst = 0.0
     for lo, hi in zip(edges, edges[1:]):
@@ -320,10 +320,8 @@ def run_compare(config: ExperimentConfig) -> ComparisonReport:
     start = restart_index(config.codec.delta, jump_time)
 
     samples = sample(config.signal, config.codec.delta, config.horizon)
-    rate = _segment_variation_rate(config, horizon_end)
-    band = settings.proximity_band_multiplier * (
-        (config.codec.a * config.codec.mbar + rate) * config.codec.delta
-    )
+    rate = _segment_variation_rate(config, jumps, horizon_end)
+    band = settings.proximity_band_multiplier * steady_error_bounds(config.codec, rate)[0]
 
     results: dict[str, Optional[int]] = {}
     for label, params in (

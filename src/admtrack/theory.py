@@ -57,16 +57,16 @@ class Violation:
 class TheoremReport:
     """Outcome of verifying one trace against the tracking guarantees."""
 
-    tau: Optional[int]
-    tau_bound: Optional[int]
-    eta: Optional[int]
-    eta_window_end: Optional[int]
     sample_error_bound: float
     interval_error_bound: float
     variation_rate: float
     oversample_factor: int
     start_index: int
     n_steps: int
+    tau: Optional[int] = None
+    tau_bound: Optional[int] = None
+    eta: Optional[int] = None
+    eta_window_end: Optional[int] = None
     violations: list[Violation] = field(default_factory=list)
     not_applicable: list[tuple[str, str]] = field(default_factory=list)
     checked: list[str] = field(default_factory=list)
@@ -122,14 +122,15 @@ def settling_window(m_tau: float, params: CodecParams) -> int:
     Clamped below at 6 (the value for m_tau == mbar) so a first switch that
     never lifted the slope above the floor still gets the base window. The
     ceiling is taken with a 1e-9 snap so exact powers of ``a`` are not pushed
-    up a step by log rounding.
+    up a step by log rounding. A slope that is not > 0, or whose window is
+    not finite (an infinite or NaN slope), is a DomainError.
     """
     if params.mbar <= 0.0:
         raise DomainError("settling window needs a positive slope floor")
-    if m_tau <= 0.0:
-        raise DomainError(f"slope at the first switch must be > 0, got {m_tau!r}")
-    width = 3.0 * math.log(m_tau / params.mbar) / math.log(params.a) + 6.0
-    return max(6, math.ceil(width - 1e-9))
+    width = 3.0 * math.log(max(m_tau / params.mbar, 1.0)) / math.log(params.a) + 6.0
+    if not (m_tau > 0.0 and width < math.inf):  # a NaN slope fails both
+        raise DomainError(f"no finite settling window for the slope {m_tau!r} at the first switch")
+    return math.ceil(width - 1e-9)
 
 
 def steady_error_bounds(params: CodecParams, rate: float) -> tuple[float, float]:
@@ -147,26 +148,37 @@ def detect_settling(
     rate: float,
     start_index: int = 0,
 ) -> Optional[int]:
-    """First step whose slope sits exactly on the floor with the sample error
-    already inside the steady band, or None."""
-    params = trace.params
-    if params.rule is not AdaptationRule.MODIFIED:
-        raise ParameterError("settling detection applies to the modified rule only")
-    if params.mbar < 2.0 * rate:
-        raise ParameterError(
-            f"floor {params.mbar} below twice the variation rate {rate}; steady tracking not guaranteed"
-        )
+    """First step from ``start_index`` on whose slope sits exactly on the
+    floor with the sample error already inside the steady band, or None: the
+    ``eta`` of :func:`verify_theorem`. Raises ParameterError with the
+    verifier's not-applicable reason where the premise fails."""
+    reason = _steady_premise(trace.params, rate)
+    if reason is not None:
+        raise ParameterError(reason)
     _check_grids(trace, x_samples)
-    bound = steady_error_bounds(params, rate)[0]
-    return _first_settled(trace, np.array(x_samples.values), start_index, len(trace) - 1, bound)
+    bound = steady_error_bounds(trace.params, rate)[0]
+    return _settled(trace, np.array(x_samples.values), start_index, bound)[1]
 
 
-def _first_settled(trace: Trace, xs: np.ndarray, first: int, last: int, sample_bound: float) -> Optional[int]:
-    """First k in [first, last] that meets the settling predicate (slope
-    exactly on the floor, sample error inside the steady band), or None."""
-    rows = slice(first, last + 1)
+def _steady_premise(params: CodecParams, rate: float) -> Optional[str]:
+    """Why the settling and steady-state claims do not apply, or None when
+    their premise holds: the modified rule with ``0 < mbar`` and ``mbar >= 2*rate``."""
+    if params.rule is not AdaptationRule.MODIFIED:
+        return "Jayant rule carries no floor guarantees"
+    if params.mbar <= 0.0:
+        return "slope floor is zero"
+    if params.mbar < 2.0 * rate:
+        return f"floor {params.mbar} below twice the variation rate {rate}"
+    return None
+
+
+def _settled(trace: Trace, xs: np.ndarray, first: int, sample_bound: float) -> tuple[np.ndarray, Optional[int]]:
+    """The settling predicate (slope exactly on the floor, sample error
+    inside the steady band) on the steps from ``first`` on, and the first
+    step that meets it, or None."""
+    rows = slice(first, None)
     settled = (trace.m[rows] == trace.params.mbar) & (np.abs(xs[rows] - trace.y[rows]) <= sample_bound)
-    return first + int(settled.argmax()) if settled.any() else None
+    return settled, (first + int(settled.argmax()) if settled.any() else None)
 
 
 def _check_grids(trace: Trace, x_samples: SampledSignal) -> None:
@@ -209,28 +221,23 @@ def verify_theorem(
     rate = variation.rate
     xs = np.array(x_samples.values)
     sample_bound, interval_bound = steady_error_bounds(params, rate)
+    switches = [k for k in trace.switch_indices() if k > start_index]
     report = TheoremReport(
-        tau=None,
-        tau_bound=None,
-        eta=None,
-        eta_window_end=None,
         sample_error_bound=sample_bound,
         interval_error_bound=interval_bound,
         variation_rate=rate,
         oversample_factor=oversample_factor,
         start_index=start_index,
         n_steps=n,
+        tau=switches[0] if switches else None,
     )
 
-    switches = [k for k in trace.switch_indices() if k > start_index]
-    report.tau = switches[0] if switches else None
-
-    _check_acquisition(report, trace, xs, growth, switches)
+    _check_acquisition(report, trace, xs, growth)
     _check_settling_and_steady(report, trace, xs, x_samples.spec, rate, switches, oversample_factor)
     return report
 
 
-def _check_acquisition(report, trace, xs, growth, switches) -> None:
+def _check_acquisition(report, trace, xs, growth) -> None:
     if growth is None:
         report.not_applicable.append(("acquisition", "no growth certificate supplied"))
         return
@@ -260,47 +267,26 @@ def _check_acquisition(report, trace, xs, growth, switches) -> None:
 
 
 def _check_settling_and_steady(report, trace, xs, spec, rate, switches, factor) -> None:
-    params = trace.params
-    n = report.n_steps
-
-    if params.rule is not AdaptationRule.MODIFIED:
-        reason = "Jayant rule carries no floor guarantees"
-    elif params.mbar <= 0.0:
-        reason = "slope floor is zero"
-    elif params.mbar < 2.0 * rate:
-        reason = f"floor {params.mbar} below twice the variation rate {rate}"
-    else:
-        reason = None
+    reason = _steady_premise(trace.params, rate)
     if reason is not None:
-        report.not_applicable.append(("settling", reason))
-        report.not_applicable.append(("steady_state", reason))
+        report.not_applicable += [("settling", reason), ("steady_state", reason)]
         return
 
-    report.eta = _first_settled(trace, xs, report.start_index, n - 1, report.sample_error_bound)
+    first, tau = report.start_index, report.tau
+    settled, report.eta = _settled(trace, xs, first, report.sample_error_bound)
 
     # settling: a floored, in-band step must exist within the window past tau
-    if report.tau is None:
+    if tau is None:
         report.not_applicable.append(("settling", "no switch within the horizon"))
     else:
-        window = settling_window(trace.m[report.tau].item(), params)
-        report.eta_window_end = report.tau + window
-        last = min(report.eta_window_end, n - 1)
-        settled = _first_settled(trace, xs, report.tau, last, report.sample_error_bound)
-        if settled is not None:
+        end = report.eta_window_end = tau + settling_window(trace.m[tau].item(), trace.params)
+        if settled[tau - first:end - first + 1].any():
             report.checked.append("settling")
-        elif report.eta_window_end <= n - 1:
+        elif end <= report.n_steps - 1:
             report.checked.append("settling")
-            report.violations.append(
-                Violation(
-                    "settling",
-                    report.tau,
-                    f"no settled step in [{report.tau}, {report.eta_window_end}]",
-                )
-            )
+            report.violations.append(Violation("settling", tau, f"no settled step in [{tau}, {end}]"))
         else:
-            report.not_applicable.append(
-                ("settling", f"horizon ends inside the window [{report.tau}, {report.eta_window_end}]")
-            )
+            report.not_applicable.append(("settling", f"horizon ends inside the window [{tau}, {end}]"))
 
     if report.eta is None:
         report.not_applicable.append(("steady_state", "no settled step detected"))

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,7 @@ from admtrack import (
     Trace,
     decode_bitstream,
     encode_signal,
+    estimate_variation_bound,
     load_config,
     read_trace_csv,
     recovery_steps,
@@ -377,6 +379,21 @@ class TestRunCompare:
         assert report.variation_rate == 0.0
         assert report.band == (PAPER_CODEC.a * PAPER_CODEC.mbar + 0.0) * PAPER_CODEC.delta
 
+    @pytest.mark.parametrize("starts", [(1.0, 1.125), (1.125, 1.375)], ids=["no_grid_time", "no_full_cell"])
+    def test_segment_shorter_than_a_cell_is_skipped(self, starts):
+        # on delta = 0.25 the segment [1.0, 1.125) keeps no grid time before its
+        # jump, and [1.125, 1.375) keeps (1.125, 1.25], which holds no full cell;
+        # the steep ramp on it is left out, the other segments' rates remain
+        codec = replace(PAPER_CODEC, delta=0.25)
+        signal = Piecewise(segments=(
+            (0.0, Constant(2.0)),
+            (starts[0], Ramp(slope=1e6, intercept=0.0)),
+            (starts[1], Ramp(slope=2.0, intercept=5.0)),
+        ))
+        report = run_compare(jump_config(signal=signal, codec=codec, horizon=3.0))
+        assert report.variation_rate == estimate_variation_bound(signal, 0.25, (starts[1], 3.0), 32).rate == 2.0
+        assert report.band == (codec.a * codec.mbar + 2.0) * codec.delta
+
     def test_signal_without_jump_rejected(self):
         with pytest.raises(ParameterError, match="jump"):
             run_compare(jump_config(signal=Constant(2.0), horizon=4.0))
@@ -560,6 +577,16 @@ class TestCliVerify:
     def test_infinite_slope_cell_is_flagged_without_a_warning(self, tmp_path, capsys):
         assert self._verify_edited_cell(tmp_path, 301, "M", "1e400") == 1
         assert capsys.readouterr().out.splitlines()[-1].startswith("3 violation(s)")
+
+    @pytest.mark.parametrize("text, slope", [("1e400", "inf"), ("nan", "nan")])
+    def test_non_finite_slope_at_the_first_switch_exits_2(self, tmp_path, capsys, text, slope):
+        # row 9 is step 8, the first switch: its slope sets the settling window
+        assert self._verify_edited_cell(tmp_path, 9, "M", text) == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: no finite settling window for the slope {slope} at the first switch"
+        ]
+        assert "Traceback" not in err
 
     def test_clean_trace_passes_file_verification(self, tmp_path):
         assert _run_in(tmp_path, "sine_steady.json", "simulate") == 0

@@ -1,5 +1,6 @@
 """Tracking-guarantee bounds and full-trace verification."""
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -17,6 +18,8 @@ from admtrack import (
     Ramp,
     Sine,
     Trace,
+    VariationBound,
+    Violation,
     acquisition_bound,
     decode_bitstream,
     detect_settling,
@@ -113,6 +116,22 @@ class TestSettlingWindow:
         params = CodecParams(y0=0.0, m0=1.0, mbar=0.0, a=2.0, delta=1.0)
         with pytest.raises(DomainError):
             settling_window(1.0, params)
+
+    @pytest.mark.parametrize("m_tau", [math.inf, math.nan, 0.0, -1.0])
+    def test_slope_without_a_finite_window_rejected(self, hand_params, m_tau):
+        with pytest.raises(DomainError, match=f"no finite settling window for the slope {m_tau!r} at the first switch"):
+            settling_window(m_tau, hand_params)
+
+    def test_ratio_beyond_float_range_rejected(self):
+        # a finite slope whose ratio to a tiny floor overflows
+        params = CodecParams(y0=0.0, m0=1e-300, mbar=1e-300, a=2.0, delta=1.0)
+        with pytest.raises(DomainError, match="no finite settling window for the slope 10000000000.0 at"):
+            settling_window(1e10, params)
+
+    def test_ratio_below_float_range_gets_the_base_window(self):
+        # the ratio to a huge floor underflows to 0; the window is still the clamped 6
+        params = CodecParams(y0=0.0, m0=1e300, mbar=1e300, a=2.0, delta=1.0)
+        assert settling_window(1e-300, params) == 6
 
 
 class TestSteadyErrorBounds:
@@ -212,6 +231,29 @@ class TestVerifyTheorem:
         assert report.tau_bound is not None
         assert not [v for v in report.violations if v.claim == "acquisition"]
 
+    @staticmethod
+    def _never_switching(hand_params, n):
+        # all-up bits past a constant 10 never switch; the acquisition bound
+        # for the gap of 10 under this growth certificate is 3
+        trace = decode_bitstream(hand_params, [1] * n)
+        samples = sample(Constant(10.0), 1.0, float(n))
+        variation = VariationBound(rate=0.0, window=(0.0, float(n)), oversample_factor=32)
+        return verify_theorem(trace, samples, variation, growth=GrowthBound(scale=1.0, exponent=1.0))
+
+    def test_no_switch_by_the_acquisition_bound_is_a_violation(self, hand_params):
+        report = self._never_switching(hand_params, 20)
+        assert report.tau is None and report.tau_bound == 3
+        assert [v for v in report.violations if v.claim == "acquisition"] == [
+            Violation("acquisition", 3, "no switch by bound 3")
+        ]
+
+    def test_horizon_ending_before_the_acquisition_bound_is_not_applicable(self, hand_params):
+        report = self._never_switching(hand_params, 3)
+        assert report.tau is None and report.tau_bound == 3
+        assert [v for v in report.violations if v.claim == "acquisition"] == []
+        assert ("acquisition", "horizon ends before the bound 3") in report.not_applicable
+        assert "acquisition" in report.checked
+
     def test_jayant_claims_not_applicable(self, hand_samples):
         params = CodecParams(y0=0.0, m0=1.0, mbar=0.0, a=2.0, delta=1.0, rule=AdaptationRule.JAYANT)
         _, trace = encode_signal(params, hand_samples)
@@ -244,6 +286,46 @@ class TestVerifyTheorem:
         doc = verify_theorem(trace, samples, variation).to_dict()
         assert doc["ok"] is True
         assert isinstance(doc["violations"], list)
+
+
+class TestOneSettlingPredicate:
+    """detect_settling and verify_theorem read one premise and one predicate."""
+
+    @staticmethod
+    def _variation(samples, rate):
+        return VariationBound(rate=rate, window=(0.0, len(samples) * samples.delta), oversample_factor=32)
+
+    @pytest.mark.parametrize("start", [0, 1, 9, 150, 399])
+    def test_detect_settling_is_the_verifiers_eta(self, start):
+        trace, samples, variation = _sine_run()
+        report = verify_theorem(trace, samples, variation, start_index=start)
+        assert report.eta is not None
+        assert detect_settling(trace, samples, variation.rate, start_index=start) == report.eta
+
+    @pytest.mark.parametrize("params, eta", [
+        (CodecParams(y0=0.0, m0=1.0, mbar=1.0, a=2.0, delta=1.0), 8),
+        (CodecParams(y0=0.0, m0=1.0, mbar=0.01, a=2.0, delta=1.0), None),
+    ], ids=["settles", "never_settles"])
+    def test_hand_trace_agrees(self, hand_samples, params, eta):
+        _, trace = encode_signal(params, hand_samples)
+        report = verify_theorem(trace, hand_samples, self._variation(hand_samples, 0.0))
+        assert detect_settling(trace, hand_samples, 0.0) == report.eta == eta
+
+    @pytest.mark.parametrize("params, rate, reason", [
+        (CodecParams(y0=0.0, m0=1.0, mbar=0.0, a=2.0, delta=1.0, rule=AdaptationRule.JAYANT), 0.0,
+         "Jayant rule carries no floor guarantees"),
+        (CodecParams(y0=0.0, m0=1.0, mbar=0.0, a=2.0, delta=1.0), 0.0, "slope floor is zero"),
+        (CodecParams(y0=0.0, m0=1.0, mbar=1.0, a=2.0, delta=1.0), 0.9,
+         "floor 1.0 below twice the variation rate 0.9"),
+    ], ids=["jayant", "zero_floor", "floor_below_twice_rate"])
+    def test_premise_failure_raises_the_verifiers_reason(self, hand_samples, params, rate, reason):
+        _, trace = encode_signal(params, hand_samples)
+        report = verify_theorem(trace, hand_samples, self._variation(hand_samples, rate))
+        reasons = dict(report.not_applicable)
+        assert reasons["settling"] == reasons["steady_state"] == reason
+        with pytest.raises(ParameterError) as excinfo:
+            detect_settling(trace, hand_samples, rate)
+        assert str(excinfo.value) == reason
 
 
 class TestRestartAfterJump:

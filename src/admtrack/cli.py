@@ -125,20 +125,20 @@ def _out_path(configured: str, out_dir: Optional[str]) -> str:
     return configured
 
 
-def _simulate(config: ExperimentConfig, out_dir: Optional[str], **extra) -> tuple[SimulationResult, str, str]:
-    """Run the experiment, write its trace CSV and its report JSON (the
-    simulation document plus ``extra``); return (result, trace path, report path)."""
-    result = run_simulation(config)
-    trace_path = _out_path(config.outputs.trace_csv, out_dir)
-    report_path = _out_path(config.outputs.report_json, out_dir)
+def _write_run(result: SimulationResult, out_dir: Optional[str], **extra) -> tuple[str, str]:
+    """Write a run's trace CSV and its report JSON (the simulation document
+    plus ``extra``); return (trace path, report path)."""
+    trace_path = _out_path(result.config.outputs.trace_csv, out_dir)
+    report_path = _out_path(result.config.outputs.report_json, out_dir)
     write_trace_csv(trace_path, result.decoder_trace, x_values=result.samples.values)
     write_json(report_path, {**simulation_document(result), **extra})
-    return result, trace_path, report_path
+    return trace_path, report_path
 
 
 def cmd_simulate(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
-    result, trace_path, report_path = _simulate(config, args.out)
+    result = run_simulation(config)
+    trace_path, report_path = _write_run(result, args.out)
     print(f"{len(result.bits)} bits over {config.horizon}s -> {trace_path}, {report_path}")
     return 0
 
@@ -149,17 +149,17 @@ def cmd_verify(args) -> int:
         samples = sample(config.signal, config.codec.delta, config.horizon)
         trace = read_trace_csv(args.trace, config.codec)
         report = verify_run(config, trace, samples)
-        consistency = [Violation("trace_consistency", k, msg) for k, msg in check_trace(trace)]
-        report_path = _out_path(config.outputs.report_json, args.out)
-        write_json(report_path, {
-            "codec": codec_to_dict(config.codec),
-            "trace": args.trace,
-            "verification": report.to_dict(),
-            "trace_consistency": [asdict(v) for v in consistency],
-        })
     else:
-        result, _, report_path = _simulate(config, args.out, trace_consistency=[])
-        report, consistency = result.report, []
+        result = run_simulation(config)
+        trace, report = result.decoder_trace, result.report
+    consistency = [Violation("trace_consistency", k, msg) for k, msg in check_trace(trace)]
+    found = [asdict(v) for v in consistency]
+    if args.trace:
+        report_path = _out_path(config.outputs.report_json, args.out)
+        write_json(report_path, {"codec": codec_to_dict(config.codec), "trace": args.trace,
+                                 "verification": report.to_dict(), "trace_consistency": found})
+    else:
+        _, report_path = _write_run(result, args.out, trace_consistency=found)
 
     for claim, reason in report.not_applicable:
         print(f"warning: claim {claim!r} not applicable: {reason}", file=sys.stderr)
@@ -224,7 +224,7 @@ def cmd_encode(args) -> int:
         rule=AdaptationRule(args.rule),
     )
     values = _read_samples_csv(args.samples)
-    samples = SampledSignal(delta=args.delta, values=tuple(values))
+    samples = SampledSignal(delta=args.delta, values=values)
     bits, _ = encode_signal(params, samples)
     stem = os.path.splitext(os.path.basename(args.samples))[0]
     out_path = _out_path(f"{stem}.odm", args.out or os.path.dirname(args.samples) or ".")

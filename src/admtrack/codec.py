@@ -49,6 +49,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import DomainError, FormatError, NumericError, ParameterError, SequencingError
+from .signals import SampledSignal
 
 __all__ = [
     "PLUS",
@@ -248,10 +249,9 @@ class Trace:
 
     The columns mean what the :class:`StepRecord` fields mean: ``k`` int64;
     ``t``, ``x``, ``y``, ``m`` float64; ``h`` int8; ``in_switch`` and
-    ``substituted`` bool. An absent sample (every step of a decode) is a
-    False bit of the mask ``x_present`` and 0.0 in ``x``, never NaN. The
-    columns must not be mutated. ``records`` is the per-step view in Python
-    scalars (None for an absent x), built on first use and cached.
+    ``substituted`` bool. A trace has a sample at every step or at none:
+    ``x`` is None on a decode. The columns must not be mutated. ``records``
+    is the per-step view in Python scalars, built on first use and cached.
     """
 
     COLUMNS = ("k", "t", "x", "y", "h", "m", "in_switch", "substituted")
@@ -259,14 +259,15 @@ class Trace:
 
     def __init__(self, params: CodecParams, records: Iterable[StepRecord] = ()) -> None:
         records = tuple(records)
-        self._fill(params, {name: [getattr(r, name) for r in records] for name in self.COLUMNS})
+        columns = {name: [getattr(r, name) for r in records] for name in self.COLUMNS}
+        x = columns["x"]  # a mix of None and floats fails _exact's column check
+        self._fill(params, {**columns, "x": None if x.count(None) == len(x) else x})
         self._records: Optional[tuple[StepRecord, ...]] = records
 
     @classmethod
     def from_columns(cls, params: CodecParams, **columns) -> "Trace":
         """A trace over all of :attr:`COLUMNS`, of equal lengths, each converted to its
-        dtype exactly or a ParameterError. ``x`` may be None (no samples), an array (all
-        present) or hold None for an absent sample; a ``substituted`` of None means none."""
+        dtype exactly or a ParameterError; an ``x`` or ``substituted`` of None means none."""
         trace = cls.__new__(cls)
         trace._fill(params, columns)
         return trace
@@ -279,24 +280,14 @@ class Trace:
         for name, values in columns.items():
             setattr(self, name, _exact(name, values, self._DTYPES.get(name, np.float64)))
         n = len(self.k)
-        if x is None or isinstance(x, np.ndarray):
-            self.x_present = np.full(n, x is not None)
-            # no samples: a read-only view of one 0.0 at every step, no per-step memory
-            self.x = _exact("x", x, np.float64) if x is not None else np.ndarray((n,), np.float64, bytes(8), 0, (0,))
-        else:
-            self.x_present = np.array([v is not None for v in x], dtype=bool)
-            self.x = np.zeros(len(self.x_present))
-            self.x[self.x_present] = _exact("x", [v for v in x if v is not None], np.float64)
+        self.x = None if x is None or not (n or np.size(x)) else _exact("x", x, np.float64)  # no steps: no samples
         self.substituted = np.zeros(n, bool) if substituted is None else _exact("substituted", substituted, np.bool_)
-        if any(len(getattr(self, name)) != n for name in self.COLUMNS):
+        if any(column is not None and len(column) != n for column in map(vars(self).get, self.COLUMNS)):
             raise ParameterError("trace columns differ in length")
 
     def x_list(self) -> list:
-        """``x`` as Python floats, None where the sample is absent."""
-        if not self.x_present.any():
-            return [None] * len(self)
-        x = self.x.tolist()
-        return x if self.x_present.all() else [v if p else None for v, p in zip(x, self.x_present.tolist())]
+        """``x`` as Python floats, or None at every step of a trace without samples."""
+        return [None] * len(self) if self.x is None else self.x.tolist()
 
     @property
     def records(self) -> tuple[StepRecord, ...]:
@@ -312,9 +303,8 @@ class Trace:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Trace):
             return NotImplemented
-        return self.params == other.params and all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in self.COLUMNS + ("x_present",))
+        return self.params == other.params and all(  # array_equal(None, None) holds
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in self.COLUMNS)
 
     def __repr__(self) -> str:
         return f"Trace(params={self.params!r}, steps={len(self)})"
@@ -635,21 +625,17 @@ def _symbols(params: CodecParams, values) -> list[Symbol]:
     return bits
 
 
-def _encode(params: CodecParams, values) -> Optional[Trace]:
-    """The encode trace of ``values`` under the modified rule: :func:`_scan`
-    of the symbols :func:`_symbols` decides, with the samples as ``x``. None
-    where it cannot vouch: not a list or tuple of finite floats, an
+def _encode(params: CodecParams, x: np.ndarray) -> Optional[Trace]:
+    """The encode trace of a :class:`SampledSignal`'s samples ``x`` under the
+    modified rule: :func:`_scan` of the symbols :func:`_symbols` decides, with
+    ``x`` itself as its ``x``. None where it cannot vouch: no samples, an
     overflowing ``a**p``, the scan declining (a slope outside (0, inf), a
     non-finite estimate), or a symbol that breaks the comparison rule on the
-    scan's estimates. Bits that pass that check are the :func:`_step`
-    loop's, by induction over the steps."""
-    if params.rule is _JAYANT or not isinstance(values, (list, tuple)) or set(map(type, values)) != {float}:
-        return None
-    x = np.fromiter(values, np.float64, len(values))
-    if not np.isfinite(x).all():
+    scan's estimates. Bits that pass that check are the :func:`_step` loop's."""
+    if params.rule is _JAYANT or not len(x):
         return None
     try:
-        bits = _symbols(params, values)
+        bits = _symbols(params, x.tolist())
     except NumericError:
         return None
     trace = _scan(params, bits, x=x)
@@ -661,17 +647,19 @@ def encode_signal(params: CodecParams, samples) -> tuple[list[Symbol], Trace]:
 
     ``samples`` is a ``signals.SampledSignal`` (or anything with ``delta``
     and ``values``); its grid must match ``params.delta`` exactly. Under the
-    modified rule :func:`_encode` builds the trace; where it declines, the
-    :func:`_step` loop runs, with its errors.
+    modified rule :func:`_encode` builds a SampledSignal's trace; where it
+    declines, or for any other ``values``, the :func:`_step` loop runs,
+    with its errors.
     """
     if samples.delta != params.delta:
         raise ParameterError(
             f"sample grid delta {samples.delta!r} != codec delta {params.delta!r}"
         )
-    trace = _encode(params, samples.values)
+    checked = isinstance(samples, SampledSignal)  # finite floats; any other values are checked step by step
+    trace = _encode(params, samples.values) if checked else None
     if trace is None:
-        # map checks each sample lazily, just before the step that consumes it
-        trace = _run_stream(params, map(_check_sample, samples.values), repeat(None))
+        xs = samples.values.tolist() if checked else map(_check_sample, samples.values)
+        trace = _run_stream(params, xs, repeat(None))
     return trace.bits(), trace
 
 
@@ -697,10 +685,11 @@ def check_trace(trace: Trace) -> list[tuple[int, str]]:
     problems in row order. A non-finite sample raises NumericError.
     """
     want = _decode(trace.params, trace.bits())
-    x, present, h = trace.x, trace.x_present, trace.h
-    for k in np.flatnonzero(present & ~np.isfinite(x))[:1].tolist():
-        symbol_for_sample(want.y[k].item(), x[k].item(), PLUS)  # raises its NumericError
-    symbol = present & _off_rule(want.y, x, h)
+    symbol = np.zeros(len(trace), bool)
+    if trace.x is not None:
+        for k in np.flatnonzero(~np.isfinite(trace.x))[:1].tolist():
+            symbol_for_sample(want.y[k].item(), trace.x[k].item(), PLUS)  # raises its NumericError
+        symbol = _off_rule(want.y, trace.x, trace.h)
     flagged = symbol | (trace.k != np.arange(len(trace))) | (trace.t != want.t)
     flagged |= (trace.y != want.y) | (trace.m != want.m) | (trace.in_switch != want.in_switch)
     problems: list[tuple[int, str]] = []

@@ -20,8 +20,9 @@ field's default. Numbers are JSON numbers or numeric strings, never bools;
 ``oversample_factor`` and ``channel.seed`` are integers, the others fit a float.
 
 Trace CSVs have the fixed header ``k,t,x,y,h,M,in_switch,err_abs`` (x and
-err_abs cells are empty on decode-only traces); report JSONs are sorted-key
-documents. Identical configs produce byte-identical outputs.
+err_abs cells are empty on every row of a trace without samples, or on none);
+report JSONs are sorted-key documents. Identical configs produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -329,7 +330,7 @@ def run_compare(config: ExperimentConfig) -> ComparisonReport:
         ("baseline", config.codec.with_rule(settings.baseline)),
     ):
         _, trace = encode_signal(params, samples)
-        errors = [abs(x - y) for x, y in zip(samples.values, trace.y.tolist())]
+        errors = np.abs(samples.values - trace.y).tolist()
         results[label] = recovery_steps(errors, start, band)
 
     return ComparisonReport(
@@ -356,45 +357,43 @@ _HEADER_LINE = ",".join(TRACE_COLUMNS) + "\r\n"
 _INT8_TEXT = tuple(map(str, range(128))) + tuple(map(str, range(-128, 0)))
 
 
-def _float_text(column: np.ndarray, blank=None) -> list:
-    """``repr`` of each float64 of ``column`` ("" on the rows of the mask ``blank``),
-    once per bit pattern where most repeat (-0.0 == 0.0, but their reprs differ)."""
+def _float_text(column: np.ndarray) -> list:
+    """``repr`` of each float64 of ``column``, once per bit pattern where most
+    repeat (-0.0 == 0.0, but their reprs differ)."""
     codes, index = np.unique(column.view(np.int64), return_inverse=True)
-    if blank is None and 2 * len(codes) > len(index):  # mostly distinct: no lookup
+    if 2 * len(codes) > len(index):  # mostly distinct: no lookup
         return list(map(repr, column.tolist()))
-    text = list(map(repr, codes.view(np.float64).tolist())) + [""]
-    if blank is not None:
-        index[blank] = -1
+    text = list(map(repr, codes.view(np.float64).tolist()))
     return list(map(text.__getitem__, index.tolist()))
 
 
 def write_trace_csv(path, trace: Trace, x_values=None) -> None:
-    """Write the fixed-schema trace CSV; ``x_values`` (read as float64 samples,
-    indexed by ``k``) fills x and err_abs on the rows that have no sample.
+    """Write the fixed-schema trace CSV; on a trace without samples, ``x_values``
+    (read as float64 samples, indexed by ``k``) fills x and err_abs, or they are empty.
 
-    Rows end in CRLF; floats are ``repr``, ``in_switch`` 1/0, and an absent x and
-    its err_abs are empty cells. Each CHUNK_ROWS chunk is one write: x and err_abs
-    are float64 columns, and a float column that repeats takes one ``repr`` per value."""
+    Rows end in CRLF; floats are ``repr``, ``in_switch`` 1/0. Each CHUNK_ROWS chunk is
+    one write, and a float column that repeats takes one ``repr`` per value."""
+    samples = trace.x if trace.x is not None or x_values is None else np.asarray(x_values, dtype=np.float64)
     with _Replacing(path, encoding="ascii", newline="") as fh:
         fh.write(_HEADER_LINE)
         for lo in range(0, len(trace), CHUNK_ROWS):
             rows = slice(lo, lo + CHUNK_ROWS)
-            x, y, absent = trace.x[rows], trace.y[rows], ~trace.x_present[rows]
-            if x_values is not None and absent.any():
-                x = x.copy()
-                x[absent] = [x_values[k] for k in trace.k[rows][absent].tolist()]
-            blank = absent if x_values is None and absent.any() else None
-            with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 1e308 - -1e308
-                err = np.abs(x - y)
+            y = trace.y[rows]
+            if samples is None:
+                x_text = err_text = [""] * len(y)
+            else:
+                x = samples[rows] if samples is trace.x else samples.take(trace.k[rows])
+                with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 1e308 - -1e308
+                    x_text, err_text = _float_text(x), _float_text(np.abs(x - y))
             cells = zip(
                 map(str, trace.k[rows].tolist()),
                 _float_text(trace.t[rows]),
-                _float_text(x, blank),
+                x_text,
                 _float_text(y),
                 map(_INT8_TEXT.__getitem__, trace.h[rows].tolist()),
                 _float_text(trace.m[rows]),
                 map(_INT8_TEXT.__getitem__, trace.in_switch[rows].tolist()),
-                _float_text(err, blank),
+                err_text,
             )
             fh.write("\r\n".join(map(",".join, cells)))
             fh.write("\r\n")
@@ -403,9 +402,9 @@ def write_trace_csv(path, trace: Trace, x_values=None) -> None:
 def read_trace_csv(path, params: CodecParams) -> Trace:
     """Read a trace CSV back; codec params come from the caller (the CSV
     carries none). Files in the writer's form are parsed by numpy's C
-    tokeniser; any other (LF line ends, quotes, whitespace, a mix of empty
-    and filled x cells, ...) goes to the row loop. Raises FormatError naming
-    the file, and the row loop names the offending row where there is one.
+    tokeniser; any other (LF line ends, quotes, whitespace, ...) goes to the
+    row loop. Raises FormatError naming the file, and the row loop names the
+    offending row where there is one; a mix of empty and filled x cells is one.
     """
     columns = _read_canonical_csv(path) or _read_csv_rows(path)
     return Trace.from_columns(params, **columns, substituted=None)
@@ -462,7 +461,8 @@ def _read_canonical_csv(path) -> Optional[dict]:
 
 def _read_csv_rows(path) -> dict:
     """The row loop behind :func:`read_trace_csv`: ``csv.reader`` over the
-    file, one converted and checked row at a time."""
+    file, one converted and checked row at a time. Every x cell is empty, as
+    on row 2, or none is."""
     rows: list[tuple] = []
     with open(path, "r", encoding="ascii", newline="") as fh:
         reader = csv.reader(fh)
@@ -482,12 +482,15 @@ def _read_csv_rows(path) -> dict:
                     raise FormatError(f"{path}: row {i}: h must be +1 or -1, got {row[4]}")
                 if cells[0] != len(rows):
                     raise FormatError(f"{path}: row {i}: step index {cells[0]}, expected {len(rows)}")
+                if rows and (cells[2] is None) != (rows[0][2] is None):  # samples at every step or at none
+                    raise FormatError(f"{path}: row {i}: x cell {'filled' if row[2] else 'empty'}, unlike row 2's")
                 rows.append(cells)
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: not an ASCII trace CSV: {exc}") from exc
         except csv.Error as exc:
             raise FormatError(f"{path}: row {reader.line_num}: {exc}") from exc
-    return dict(zip(("k", "t", "x", "y", "h", "m", "in_switch"), list(zip(*rows)) or [()] * 7))
+    columns = dict(zip(("k", "t", "x", "y", "h", "m", "in_switch"), list(zip(*rows)) or [()] * 7))
+    return {**columns, "x": None if rows and rows[0][2] is None else columns["x"]}
 
 
 def write_json(path, document: dict) -> None:

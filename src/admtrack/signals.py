@@ -171,22 +171,29 @@ class Piecewise(_Signal):
 SignalSpec = Union[Constant, Ramp, Sine, Piecewise]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledSignal:
-    """Grid samples x(k*delta), k = 0..n-1, with optional provenance."""
+    """Grid samples x(k*delta), k = 0..n-1, with optional provenance. ``values`` is one checked,
+    read-only float64 array: one given is kept (its owner leaves it unchanged), anything else copied."""
 
     delta: float
-    values: tuple[float, ...]
+    values: np.ndarray
     spec: Optional[SignalSpec] = None
 
     def __post_init__(self) -> None:
-        try:
-            object.__setattr__(self, "values", tuple(map(float, self.values)))
-        except OverflowError:  # an int beyond float range
-            raise NumericError("samples must be finite") from None
+        values = self.values
+        if not (isinstance(values, np.ndarray) and values.dtype == np.float64 and not values.flags.writeable):
+            try:
+                values = np.array(values, dtype=np.float64)
+            except OverflowError:  # an int beyond float range
+                raise NumericError("samples must be finite") from None
+            values.flags.writeable = False
+            object.__setattr__(self, "values", values)
+        if values.ndim != 1:
+            raise ParameterError(f"samples must be a 1-d sequence, got {values.ndim} dimensions")
         if self.delta <= 0.0:
             raise ParameterError(f"delta must be > 0, got {self.delta}")
-        if not all(map(math.isfinite, self.values)):
+        if not np.isfinite(values).all():
             raise NumericError("samples must be finite")
 
     def __len__(self) -> int:
@@ -255,7 +262,8 @@ def sample(spec: SignalSpec, delta: float, horizon: float) -> SampledSignal:
     bad = ~np.isfinite(x)
     if bad.any():
         raise NumericError(f"signal is not finite at t={t[bad.argmax()].item()!r}")
-    return SampledSignal(delta=delta, values=tuple(x.tolist()), spec=spec)
+    x.flags.writeable = False
+    return SampledSignal(delta=delta, values=x, spec=spec)
 
 
 def _cell_end(ks: np.ndarray, delta: float) -> float:
@@ -322,11 +330,10 @@ def fit_growth_bound(samples: SampledSignal, exponent: float = 1.0) -> GrowthBou
     The fitted certificate is tight by construction;
     :func:`verify_growth` on the same samples returns no violations.
     """
-    values = np.abs(np.asarray(samples.values, dtype=float))
-    n = len(values)
-    vmax = float(values.max()) if n else 0.0
+    values = np.abs(samples.values)
+    vmax = float(values.max(initial=0.0))
     scale = 0.0
-    for m in range(1, n):
+    for m in range(1, len(values)):
         tau = (m * samples.delta) ** exponent
         # Every ratio at this lag is at most vmax / tau (|x_k| + tau >= tau).
         if tau > 0.0 and vmax / tau <= scale:
@@ -338,11 +345,10 @@ def fit_growth_bound(samples: SampledSignal, exponent: float = 1.0) -> GrowthBou
 
 def verify_growth(samples: SampledSignal, bound: GrowthBound) -> list[GrowthViolation]:
     """All grid pairs (k, m >= 1) breaking the growth inequality (closed)."""
-    values = np.abs(np.asarray(samples.values, dtype=float))
-    n = len(values)
-    vmax = float(values.max()) if n else 0.0
+    values = np.abs(samples.values)
+    vmax = float(values.max(initial=0.0))
     violations: list[GrowthViolation] = []
-    for m in range(1, n):
+    for m in range(1, len(values)):
         tau = (m * samples.delta) ** bound.exponent
         # Every limit at this lag is at least scale * tau (scale > 0).
         if bound.scale * tau >= vmax:

@@ -135,7 +135,7 @@ def settling_window(m_tau: float, params: CodecParams) -> int:
 
 def steady_error_bounds(params: CodecParams, rate: float) -> tuple[float, float]:
     """(sample bound, interval bound) = ((a*mbar + D)*delta, (a*mbar + 2D)*delta)."""
-    if rate < 0.0:
+    if not rate >= 0.0:  # nan fails too
         raise ParameterError(f"variation rate must be >= 0, got {rate!r}")
     sample_bound = (params.a * params.mbar + rate) * params.delta
     interval_bound = (params.a * params.mbar + 2.0 * rate) * params.delta
@@ -157,7 +157,7 @@ def detect_settling(
         raise ParameterError(reason)
     _check_grids(trace, x_samples)
     bound = steady_error_bounds(trace.params, rate)[0]
-    return _settled(trace, np.array(x_samples.values), start_index, bound)[1]
+    return _settled(trace, x_samples.values, start_index, bound)[1]
 
 
 def _steady_premise(params: CodecParams, rate: float) -> Optional[str]:
@@ -219,7 +219,7 @@ def verify_theorem(
         raise ParameterError(f"start_index {start_index} outside trace of length {n}")
 
     rate = variation.rate
-    xs = np.array(x_samples.values)
+    xs = x_samples.values
     sample_bound, interval_bound = steady_error_bounds(params, rate)
     switches = [k for k in trace.switch_indices() if k > start_index]
     report = TheoremReport(

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from admtrack import (
@@ -304,6 +305,45 @@ class TestEncodeSignal:
     def test_grid_mismatch(self, hand_params):
         with pytest.raises(ParameterError):
             encode_signal(hand_params, SampledSignal(delta=0.5, values=(1.0,)))
+
+    def test_encoder_trace_holds_the_samples_array(self, hand_params, hand_samples):
+        _, trace = encode_signal(hand_params, hand_samples)
+        assert np.shares_memory(trace.x, hand_samples.values)
+
+
+class TestTraceSamples:
+    """A trace has a sample at every step or at none."""
+
+    def test_decode_trace_has_no_samples(self, hand_params, hand_samples):
+        bits, _ = encode_signal(hand_params, hand_samples)
+        trace = decode_bitstream(hand_params, bits)
+        assert trace.x is None and trace.x_list() == [None] * 10
+        assert Trace(hand_params, trace.records) == trace
+
+    def test_records_mixing_present_and_absent_samples_are_refused(self, hand_params, hand_samples):
+        from dataclasses import replace
+
+        _, trace = encode_signal(hand_params, hand_samples)
+        records = list(trace.records)
+        records[2] = replace(records[2], x=None)
+        with pytest.raises(ParameterError, match="trace column x must be a sequence of numbers, got object"):
+            Trace(hand_params, records)
+
+    def test_columns_mixing_present_and_absent_samples_are_refused(self, hand_params, hand_samples):
+        _, trace = encode_signal(hand_params, hand_samples)
+        columns = {name: getattr(trace, name) for name in Trace.COLUMNS}
+        columns["x"] = trace.x_list()
+        columns["x"][2] = None
+        with pytest.raises(ParameterError, match="trace column x must be a sequence of numbers, got object"):
+            Trace.from_columns(hand_params, **columns)
+
+    def test_every_empty_trace_has_no_samples(self, hand_params):
+        empty = {name: [] for name in Trace.COLUMNS}
+        columns = Trace.from_columns(hand_params, **{**empty, "x": None})
+        samples = Trace.from_columns(hand_params, **empty)  # zero samples are no samples
+        _, encoded = encode_signal(hand_params, SampledSignal(hand_params.delta, []))
+        for trace in (decode_bitstream(hand_params, []), Trace(hand_params, []), samples, encoded):
+            assert trace.x is None and trace == columns
 
 
 def test_decode_empty_bits(hand_params):

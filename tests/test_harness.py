@@ -425,6 +425,13 @@ class TestTraceCsv:
         row = path.read_text().splitlines()[1].split(",")
         assert row[2] == "" and row[7] == ""
 
+    @pytest.mark.parametrize("line_end", ["\r\n", "\n"])  # the canonical reader and the row loop
+    def test_header_only_trace_has_no_samples(self, tmp_path, line_end):
+        path = tmp_path / "trace.csv"
+        path.write_text("k,t,x,y,h,M,in_switch,err_abs" + line_end, newline="")
+        trace = read_trace_csv(path, PAPER_CODEC)
+        assert len(trace) == 0 and trace.x is None
+
     def test_malformed_row_reports_number(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("k,t,x,y,h,M,in_switch,err_abs\n0,0.0,1.0,oops,1,1.0,0,\n")
@@ -587,6 +594,44 @@ class TestCliVerify:
             f"error: no finite settling window for the slope {slope} at the first switch"
         ]
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("row, state", [(6, "empty"), (2, "filled")])
+    def test_trace_mixing_empty_and_filled_x_cells_exits_2(self, tmp_path, capsys, row, state):
+        # blanking row 2 leaves every later row filled, unlike it
+        assert _run_in(tmp_path, "sine_steady.json", "simulate") == 0
+        trace_path = tmp_path / "sine_trace.csv"
+        rows = trace_path.read_bytes().split(b"\r\n")
+        cells = rows[row - 1].split(b",")
+        cells[2] = cells[7] = b""
+        rows[row - 1] = b",".join(cells)
+        trace_path.write_bytes(b"\r\n".join(rows))
+        code = main(["verify", "--config", str(CONFIGS / "sine_steady.json"),
+                     "--trace", str(trace_path), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        bad_row = 3 if row == 2 else row
+        assert err == f"error: {trace_path}: row {bad_row}: x cell {state}, unlike row 2's\n"
+
+    def test_verify_reports_what_check_trace_finds_on_the_run(self, tmp_path, capsys, monkeypatch):
+        import admtrack.cli as cli
+
+        checked = []
+
+        def one_problem(trace):
+            checked.append(trace)
+            return [(3, "forged problem")]
+
+        monkeypatch.setattr(cli, "check_trace", one_problem)
+        assert _run_in(tmp_path, "sine_steady.json", "verify") == 1
+        report_path = tmp_path / "sine_report.json"
+        assert capsys.readouterr().out.splitlines() == [
+            "violation: trace_consistency at step 3: forged problem",
+            f"1 violation(s) -> {report_path}",
+        ]
+        assert json.loads(report_path.read_text())["trace_consistency"] == [
+            {"claim": "trace_consistency", "step": 3, "detail": "forged problem"}
+        ]
+        assert len(checked) == 1 and len(checked[0]) == 400
 
     def test_clean_trace_passes_file_verification(self, tmp_path):
         assert _run_in(tmp_path, "sine_steady.json", "simulate") == 0

@@ -858,7 +858,7 @@ def test_bad_samples_raise_like_oracle(values):
 TAMPERS = {
     "k": lambda r, rng: rng.choice([r.k + 1, r.k - 1, 0]),
     "t": lambda r, rng: math.nextafter(r.t, math.inf),
-    "x": lambda r, rng: rng.choice([None, r.y, r.y + 1.0, r.y - 1.0, -1e9]),
+    "x": lambda r, rng: rng.choice([r.y, r.y + 1.0, r.y - 1.0, -1e9]),
     "y": lambda r, rng: math.nextafter(r.y, -math.inf),
     "m": lambda r, rng: r.m * 2.0,
     "in_switch": lambda r, rng: not r.in_switch,
@@ -873,6 +873,8 @@ def test_check_trace_matches_oracle_on_tampered_traces(field, seed):
     values = random_values(rng, rng.randrange(20, 200))
     _, trace = encode_signal(params, SampledSignal(delta=params.delta, values=tuple(values)))
     records = list(rng.choice([trace, decode_bitstream(params, trace.bits())]).records)
+    if field == "x":  # a trace has samples at every step or at none: tamper those it has
+        records = list(trace.records)
     for k in rng.sample(range(len(records)), rng.randrange(1, 4)):
         records[k] = replace(records[k], **{field: TAMPERS[field](records[k], rng)})
     tampered = Trace(params=params, records=records)
@@ -1002,14 +1004,11 @@ def test_trace_from_records_keeps_the_records_view(hand_params, hand_samples):
 
 
 def test_consistent_traces_have_no_problems(hand_params, hand_samples):
-    """A consistent trace, exact ties (hand trace step 9) and partly missing
-    samples included, gives no problem."""
+    """A consistent trace, exact ties (hand trace step 9) and a trace
+    without samples included, gives no problem."""
     _, trace = encode_signal(hand_params, hand_samples)
     assert trace.y[9] == trace.x[9]
-    partly = list(trace.records)
-    partly[2] = replace(partly[2], x=None)
-    for candidate in (trace, decode_bitstream(hand_params, trace.bits()),
-                      Trace(hand_params, partly)):
+    for candidate in (trace, decode_bitstream(hand_params, trace.bits())):
         assert check_trace(candidate) == []
     for seed in range(20):
         rng = random.Random(9000 + seed)
@@ -1344,21 +1343,18 @@ def csv_traces():
     jayant = params.with_rule(AdaptationRule.JAYANT)
     exact = sample(spec, params.delta, CHUNK_ROWS * params.delta)
     _, exact_chunk = encode_signal(jayant, exact)
-    cases = [
+    x_values = samples.values.tolist()  # Python floats: the oracle reprs what it is given
+    return [
         ("encode", encoded, None),
-        ("encode_with_x_values", encoded, samples.values),
+        ("encode_with_x_values", encoded, x_values),
         ("decode", decoded, None),
-        ("decode_with_x_values", decoded, samples.values),
+        ("decode_with_x_values", decoded, x_values),
         ("erasure", erased, None),
-        ("erasure_with_x_values", erased, samples.values),
+        ("erasure_with_x_values", erased, x_values),
         ("jayant_one_full_chunk", exact_chunk, None),
         ("empty", decode_bitstream(params, []), None),
         ("empty_with_x_values", decode_bitstream(params, []), ()),
     ]
-    partly = list(decoded.records[:50])
-    partly[7] = replace(partly[7], x=1.25)
-    cases.append(("partly_missing_x", Trace(params, partly), samples.values))
-    return cases
 
 
 def random_csv_traces(count):
@@ -1412,28 +1408,28 @@ SPECIAL_FLOAT_BITS = float_bits(
         st.lists(st.one_of(st.sampled_from(SPECIAL_FLOAT_BITS), st.integers(-2**63, 2**63 - 1)),
                  min_size=1, max_size=6),
         min_size=5, max_size=5),
-    x_mode=st.sampled_from(("absent", "present", "mixed")),
+    x_mode=st.sampled_from(("absent", "present")),
     x_values_form=st.sampled_from((None, "tuple", "list", "array", "short tuple", "short array")),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(n=CHUNK_ROWS + 1, pools=[float_bits(0.0, -0.0)] * 5, x_mode="mixed",
+@example(n=CHUNK_ROWS + 1, pools=[float_bits(0.0, -0.0)] * 5, x_mode="absent",
          x_values_form="short tuple", seed=0)
 @example(n=2 * CHUNK_ROWS + 5, pools=[SPECIAL_FLOAT_BITS] * 5, x_mode="absent",
          x_values_form="array", seed=1)
 def test_trace_csv_writer_matches_oracle_on_any_float_bits(n, pools, x_mode, x_values_form, seed):
     """Any float64 bit patterns in t, x, y, m and ``x_values``, repeated within
-    a chunk and across chunk boundaries, with x absent, present or mixed,
+    a chunk and across chunk boundaries, with x absent or present,
     write the oracle's bytes and no RuntimeWarning. ``x_values`` are read as
     float64 samples, so the oracle is given them as Python floats."""
     rng = np.random.default_rng(seed)
     t, x, y, m, samples = (np.array(pool, np.int64).view(np.float64)[rng.integers(len(pool), size=n)]
                            for pool in pools)
-    present = {"absent": np.zeros(n, bool), "present": np.ones(n, bool), "mixed": rng.random(n) < 0.5}[x_mode]
+    present = {"absent": np.zeros(n, bool), "present": np.ones(n, bool)}[x_mode]
     trace = Trace.from_columns(
         CodecParams(y0=5.0, m0=13.0, mbar=13.0, a=1.5, delta=0.01),
         k=np.arange(n), t=t, y=y, h=rng.choice(np.array([PLUS, MINUS], np.int8), size=n), m=m,
         in_switch=rng.random(n) < 0.5, substituted=None,
-        x={"absent": None, "present": x}.get(x_mode, [v if p else None for v, p in zip(x.tolist(), present)]),
+        x={"absent": None, "present": x}[x_mode],
     )
     if x_values_form is not None and x_values_form.startswith("short"):  # covers every absent k only
         samples = samples[:np.flatnonzero(~present)[-1] + 1 if not present.all() else 0]
@@ -1529,6 +1525,10 @@ def test_trace_csv_reader_matches_oracle_on_mutated_files(tmp_path, mutation):
         body = b"".join(line + b"\r\n" for line in lines)
     path = tmp_path / "mutated.csv"
     path.write_bytes(body)
+    if mutation == "empty_x_cell":  # the oracle's records mix present and absent samples
+        with pytest.raises(FormatError, match=r"row 6: x cell empty, unlike row 2's"):
+            read_trace_csv(path, params)
+        return
     outcome, want = same_outcome(
         lambda: read_trace_csv(path, params), lambda: oracle_read_trace_csv(path, params)
     )

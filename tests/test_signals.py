@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from admtrack import (
@@ -28,10 +29,10 @@ JUMP_SIGNAL = Piecewise(segments=((0.0, Constant(2.0)), (1.0, Ramp(slope=0.03, i
 
 class TestSample:
     def test_constant(self):
-        assert sample(Constant(10.0), 1.0, 3.0).values == (10.0, 10.0, 10.0)
+        assert sample(Constant(10.0), 1.0, 3.0).values.tolist() == [10.0, 10.0, 10.0]
 
     def test_ramp(self):
-        assert sample(Ramp(slope=1.0, intercept=0.0), 0.5, 1.5).values == (0.0, 0.5, 1.0)
+        assert sample(Ramp(slope=1.0, intercept=0.0), 0.5, 1.5).values.tolist() == [0.0, 0.5, 1.0]
 
     def test_sine_on_grid(self):
         values = sample(Sine(amplitude=2.0, frequency_hz=0.25), 1.0, 4.0).values
@@ -71,6 +72,29 @@ class TestSample:
 
     def test_keeps_provenance(self):
         assert sample(JUMP_SIGNAL, 0.04, 2.0).spec is JUMP_SIGNAL
+
+    def test_values_are_one_read_only_array(self):
+        samples = sample(Sine(amplitude=2.0, frequency_hz=0.25), 1.0, 4.0)
+        assert samples.values.dtype == np.float64 and not samples.values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            samples.values[0] = 1.0
+        # a read-only float64 array is kept as it is, not copied again
+        assert SampledSignal(1.0, samples.values).values is samples.values
+
+    def test_a_list_or_a_writeable_array_is_copied_once(self):
+        source, array = [1.0, 2.0, 3.0], np.array([1.0, 2.0, 3.0])
+        from_list, from_array = SampledSignal(1.0, source), SampledSignal(1.0, array)
+        source[0] = array[0] = 99.0
+        for samples in (from_list, from_array):
+            assert samples.values.tolist() == [1.0, 2.0, 3.0] and not samples.values.flags.writeable
+
+    @pytest.mark.parametrize("values", [1.0, [[1.0, 2.0], [3.0, 4.0]], np.zeros((2, 2))],
+                             ids=["scalar", "nested_list", "2d_array"])
+    def test_samples_must_be_one_dimensional(self, values):
+        if isinstance(values, np.ndarray):
+            values.flags.writeable = False  # a read-only float64 array is kept as it is
+        with pytest.raises(ParameterError, match="1-d sequence, got [02] dimensions"):
+            SampledSignal(1.0, values)
 
 
 class TestPiecewise:

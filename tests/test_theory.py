@@ -149,6 +149,15 @@ class TestSteadyErrorBounds:
         params = CodecParams(y0=0.0, m0=1.0, mbar=1.0, a=2.0, delta=1.0)
         assert steady_error_bounds(params, 0.5) == (2.5, 3.0)
 
+    def test_nan_rate_refused_through_both_entry_points(self, hand_params, hand_samples):
+        # NaN fails every comparison, so a test for rate < 0 alone lets it pass
+        _, trace = encode_signal(hand_params, hand_samples)
+        variation = VariationBound(rate=math.nan, window=(0.0, 10.0), oversample_factor=32)
+        for check in (lambda: detect_settling(trace, hand_samples, math.nan),
+                      lambda: verify_theorem(trace, hand_samples, variation)):
+            with pytest.raises(ParameterError, match="variation rate must be >= 0, got nan"):
+                check()
+
 
 class TestDetectSettling:
     def test_hand_trace_settles_at_8(self, hand_params, hand_samples):

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import compress
 from typing import Optional, Sequence, Union
@@ -63,8 +64,8 @@ class Erasure:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.p < 1.0:
-            raise ParameterError(f"erasure probability must be in [0, 1), got {self.p}")
+        if isinstance(self.p, bool) or not 0.0 <= self.p < 1.0:
+            raise ParameterError(f"erasure probability must be in [0, 1), got {self.p!r}")
         if isinstance(self.seed, bool) or not (isinstance(self.seed, int) and self.seed >= 0):
             raise ParameterError(f"erasure seed must be a non-negative integer, got {self.seed!r}")
 
@@ -112,28 +113,20 @@ def decode_with_erasures(params: CodecParams, received: ReceivedStream) -> Trace
     return _decode(params, held, substituted)
 
 
-class _Replacing:
-    """``with _Replacing(path, **open_args) as fh`` writes text to ``path.tmp``
+@contextmanager
+def _replacing(path, **open_args):
+    """``with _replacing(path, **open_args) as fh`` writes text to ``path.tmp``
     and moves it onto ``path`` at the end. On any error, the move's included,
     the temp file is removed and the error propagates."""
-
-    def __init__(self, path, **open_args) -> None:
-        self.path, self.tmp = path, f"{path}.tmp"
-        self.fh = open(self.tmp, "w", **open_args)
-
-    def __enter__(self):
-        return self.fh
-
-    def __exit__(self, error, *_) -> None:
-        replaced = False
-        try:
-            self.fh.close()
-            if error is None:
-                os.replace(self.tmp, self.path)
-                replaced = True
-        finally:
-            if not replaced:
-                os.unlink(self.tmp)
+    tmp = f"{path}.tmp"
+    fh = open(tmp, "w", **open_args)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def write_bitstream(path, params: CodecParams, bits: Sequence[Symbol]) -> None:
@@ -146,7 +139,7 @@ def write_bitstream(path, params: CodecParams, bits: Sequence[Symbol]) -> None:
                 raise FormatError(f"symbol at position {k} is {b!r}, not +1/-1") from None
         body = "".join("1" if b == PLUS else "0" for b in bits)
     header = json.dumps({**codec_to_dict(params), "count": len(bits)}, sort_keys=True)
-    with _Replacing(path, encoding="ascii") as fh:
+    with _replacing(path, encoding="ascii") as fh:
         fh.write(f"{MAGIC}\n{header}\n{body}\n")
 
 

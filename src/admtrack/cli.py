@@ -75,16 +75,20 @@ def _build_parser() -> argparse.ArgumentParser:
         add_overrides(p)
 
     p_sim = sub.add_parser("simulate", help="run one experiment, write trace CSV and report JSON")
+    p_sim.set_defaults(handler=cmd_simulate)
     add_config(p_sim)
 
     p_ver = sub.add_parser("verify", help="run and check the tracking guarantees (exit 1 on violations)")
+    p_ver.set_defaults(handler=cmd_verify)
     add_config(p_ver)
     p_ver.add_argument("--trace", help="verify this existing trace CSV instead of simulating")
 
     p_cmp = sub.add_parser("compare", help="compare post-jump recovery against the baseline rule")
+    p_cmp.set_defaults(handler=cmd_compare)
     add_config(p_cmp)
 
     p_enc = sub.add_parser("encode", help="encode a samples CSV into an ODM/1 bitstream")
+    p_enc.set_defaults(handler=cmd_encode)
     p_enc.add_argument("samples", help="CSV with an 'x' column of grid samples")
     p_enc.add_argument("--out", help="directory for the bitstream file")
     p_enc.add_argument("--delta", type=float, required=True)
@@ -95,6 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enc.add_argument("--rule", choices=["modified", "jayant"], default="modified")
 
     p_dec = sub.add_parser("decode", help="decode an ODM/1 bitstream into a trace CSV")
+    p_dec.set_defaults(handler=cmd_decode)
     p_dec.add_argument("bitstream", help="ODM/1 file")
     p_dec.add_argument("--out", help="directory for the trace CSV")
 
@@ -243,23 +248,11 @@ def cmd_decode(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "verify": cmd_verify,
-    "compare": cmd_compare,
-    "encode": cmd_encode,
-    "decode": cmd_decode,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except AdmTrackError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        return args.handler(args)
+    except (AdmTrackError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -247,21 +247,26 @@ class StepRecord:
 class Trace:
     """A codec run stored as typed numpy columns, one entry per step.
 
-    The columns mean what the :class:`StepRecord` fields mean: ``k`` int64;
-    ``t``, ``x``, ``y``, ``m`` float64; ``h`` int8; ``in_switch`` and
-    ``substituted`` bool. A trace has a sample at every step or at none:
-    ``x`` is None on a decode. The columns must not be mutated. ``records``
-    is the per-step view in Python scalars, built on first use and cached.
+    Step k is the k-th measurement, at time k*delta: a record's ``k`` and
+    ``t`` come from its row and ``params.delta``, not a column. The columns
+    are the other :class:`StepRecord` fields: ``x``, ``y``, ``m`` float64;
+    ``h`` int8; ``in_switch``, ``substituted`` bool. ``x`` is None on a
+    decode: samples at every step or at none. The columns must not be mutated.
+    ``records`` is the per-step view in Python scalars, built on first use and cached.
     """
 
-    COLUMNS = ("k", "t", "x", "y", "h", "m", "in_switch", "substituted")
-    _DTYPES = {"k": np.int64, "h": np.int8, "in_switch": np.bool_}  # the others float64
+    COLUMNS = ("x", "y", "h", "m", "in_switch", "substituted")
+    _DTYPES = {"h": np.int8, "in_switch": np.bool_}  # the others float64
 
     def __init__(self, params: CodecParams, records: Iterable[StepRecord] = ()) -> None:
         records = tuple(records)
-        columns = {name: [getattr(r, name) for r in records] for name in self.COLUMNS}
-        x = columns["x"]  # a mix of None and floats fails _exact's column check
+        columns = {name: [getattr(r, name) for r in records] for name in ("k", "t", *self.COLUMNS)}
+        k, t, x = columns.pop("k"), columns.pop("t"), columns["x"]  # a mix of None and floats fails _exact
         self._fill(params, {**columns, "x": None if x.count(None) == len(x) else x})
+        grid = np.arange(len(records))
+        off = (_exact("k", k, np.int64) != grid) | (_exact("t", t, np.float64) != grid * params.delta)
+        for i in np.flatnonzero(off)[:1].tolist():
+            raise ParameterError(f"record {i} is off the grid: k={k[i]!r}, t={t[i]!r}, not {i}, {i * params.delta!r}")
         self._records: Optional[tuple[StepRecord, ...]] = records
 
     @classmethod
@@ -279,7 +284,7 @@ class Trace:
         x, substituted = columns.pop("x"), columns.pop("substituted")
         for name, values in columns.items():
             setattr(self, name, _exact(name, values, self._DTYPES.get(name, np.float64)))
-        n = len(self.k)
+        n = len(self.y)
         self.x = None if x is None or not (n or np.size(x)) else _exact("x", x, np.float64)  # no steps: no samples
         self.substituted = np.zeros(n, bool) if substituted is None else _exact("substituted", substituted, np.bool_)
         if any(column is not None and len(column) != n for column in map(vars(self).get, self.COLUMNS)):
@@ -292,13 +297,13 @@ class Trace:
     @property
     def records(self) -> tuple[StepRecord, ...]:
         if self._records is None:
-            columns = [self.x_list() if name == "x" else getattr(self, name).tolist()
-                       for name in self.COLUMNS]
-            self._records = tuple(map(StepRecord, *columns))
+            k = np.arange(len(self))
+            columns = [self.x_list() if name == "x" else getattr(self, name).tolist() for name in self.COLUMNS]
+            self._records = tuple(map(StepRecord, k.tolist(), (k * self.params.delta).tolist(), *columns))
         return self._records
 
     def __len__(self) -> int:
-        return len(self.k)
+        return len(self.y)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Trace):
@@ -313,7 +318,7 @@ class Trace:
         return self.h.tolist()
 
     def switch_indices(self) -> list[int]:
-        return self.k[self.in_switch].tolist()
+        return np.flatnonzero(self.in_switch).tolist()
 
 
 def _exact(name: str, values, dtype) -> np.ndarray:
@@ -525,10 +530,8 @@ def _scan(params: CodecParams, bits: list, substituted=None, x=None) -> Optional
         np.add.accumulate(y, out=y)  # sequential, in the loop's order
     if not math.isfinite(y[-1]):  # a non-finite estimate stays non-finite
         return None
-    return Trace.from_columns(
-        params, k=np.arange(n), t=np.arange(n) * params.delta, x=x, y=y, h=h,
-        m=np.array(table)[power], in_switch=switch, substituted=substituted,
-    )
+    return Trace.from_columns(params, x=x, y=y, h=h, m=np.array(table)[power],
+                              in_switch=switch, substituted=substituted)
 
 
 def _run_stream(params: CodecParams, xs: Iterable, hs: Iterable, substituted=None) -> Trace:
@@ -550,11 +553,9 @@ def _run_stream(params: CodecParams, xs: Iterable, hs: Iterable, substituted=Non
         add_y(y)
         add_h(h)
         add_m(m)
-    n = len(y_col)
     h = np.array(h_col, dtype=np.int8)
     return Trace.from_columns(
-        params, k=np.arange(n), t=np.arange(n) * params.delta,
-        x=np.array(x_col, dtype=float) if None not in x_col[:1] else None,
+        params, x=np.array(x_col, dtype=float) if None not in x_col[:1] else None,
         y=np.array(y_col, dtype=float), h=h, m=np.array(m_col, dtype=float),
         in_switch=_switches(h), substituted=substituted,
     )
@@ -678,8 +679,8 @@ def decode_bitstream(params: CodecParams, bits) -> Trace:
 def check_trace(trace: Trace) -> list[tuple[int, str]]:
     """Re-derive the whole trace from its bits and report any mismatch.
 
-    Used to vet untrusted (possibly tampered) trace files: every k, t, y, m
-    and switch flag must match the shared recursion exactly, and where
+    Used to vet untrusted (possibly tampered) trace files: every y, m and
+    switch flag must match the shared recursion exactly, and where
     samples are present the symbol must match the comparison rule. The
     columns are compared whole; a row pass over the flagged steps names the
     problems in row order. A non-finite sample raises NumericError.
@@ -690,16 +691,11 @@ def check_trace(trace: Trace) -> list[tuple[int, str]]:
         for k in np.flatnonzero(~np.isfinite(trace.x))[:1].tolist():
             symbol_for_sample(want.y[k].item(), trace.x[k].item(), PLUS)  # raises its NumericError
         symbol = _off_rule(want.y, trace.x, trace.h)
-    flagged = symbol | (trace.k != np.arange(len(trace))) | (trace.t != want.t)
-    flagged |= (trace.y != want.y) | (trace.m != want.m) | (trace.in_switch != want.in_switch)
+    flagged = symbol | (trace.y != want.y) | (trace.m != want.m) | (trace.in_switch != want.in_switch)
     problems: list[tuple[int, str]] = []
-    rows = (trace.k, trace.t, trace.y, trace.m, trace.in_switch, want.t, want.y, want.m, want.in_switch)
+    rows = (trace.y, trace.m, trace.in_switch, want.y, want.m, want.in_switch)
     for k in np.flatnonzero(flagged).tolist():
-        got_k, t, y, m, in_switch, t_k, y_k, m_k, switch_k = (column[k].item() for column in rows)
-        if got_k != k:
-            problems.append((k, f"record index {got_k} != position {k}"))
-        if t != t_k:
-            problems.append((k, f"t={t!r} != k*delta={t_k!r}"))
+        y, m, in_switch, y_k, m_k, switch_k = (column[k].item() for column in rows)
         if y != y_k:
             problems.append((k, f"y={y!r} != recursion value {y_k!r}"))
         if m != m_k:

@@ -43,12 +43,13 @@ from .codec import (
     CodecParams,
     Symbol,
     Trace,
+    _exact,
     codec_from_dict,
     codec_to_dict,
     encode_signal,
     read_section,
 )
-from .channel import ChannelModel, Erasure, Noiseless, ReceivedStream, _Replacing, decode_with_erasures, transmit
+from .channel import ChannelModel, Erasure, Noiseless, ReceivedStream, _replacing, decode_with_erasures, transmit
 from .errors import DomainError, FormatError, ParameterError
 from .signals import (
     Constant,
@@ -97,8 +98,9 @@ class ComparisonSettings:
     def __post_init__(self) -> None:
         if not isinstance(self.baseline, AdaptationRule):
             object.__setattr__(self, "baseline", AdaptationRule(self.baseline))
-        if not self.proximity_band_multiplier > 0.0:  # nan fails too
-            raise ParameterError("proximity band multiplier must be > 0")
+        value = self.proximity_band_multiplier
+        if not 0.0 < value <= sys.float_info.max:  # nan fails too
+            raise ParameterError(f"proximity band multiplier must be > 0 and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -369,25 +371,28 @@ def _float_text(column: np.ndarray) -> list:
 
 def write_trace_csv(path, trace: Trace, x_values=None) -> None:
     """Write the fixed-schema trace CSV; on a trace without samples, ``x_values``
-    (read as float64 samples, indexed by ``k``) fills x and err_abs, or they are empty.
+    (one float per step, else a ParameterError) fills x and err_abs, or they are empty.
 
     Rows end in CRLF; floats are ``repr``, ``in_switch`` 1/0. Each CHUNK_ROWS chunk is
     one write, and a float column that repeats takes one ``repr`` per value."""
-    samples = trace.x if trace.x is not None or x_values is None else np.asarray(x_values, dtype=np.float64)
-    with _Replacing(path, encoding="ascii", newline="") as fh:
+    n = len(trace)
+    with _replacing(path, encoding="ascii", newline="") as fh:
+        samples = trace.x if trace.x is not None or x_values is None else _exact("x", x_values, np.float64)
+        if samples is not None and len(samples) != n:
+            raise ParameterError(f"x_values holds {len(samples)} samples for {n} steps")
         fh.write(_HEADER_LINE)
-        for lo in range(0, len(trace), CHUNK_ROWS):
-            rows = slice(lo, lo + CHUNK_ROWS)
+        for lo in range(0, n, CHUNK_ROWS):
+            rows, hi = slice(lo, lo + CHUNK_ROWS), min(lo + CHUNK_ROWS, n)
             y = trace.y[rows]
             if samples is None:
                 x_text = err_text = [""] * len(y)
             else:
-                x = samples[rows] if samples is trace.x else samples.take(trace.k[rows])
+                x = samples[rows]
                 with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 1e308 - -1e308
                     x_text, err_text = _float_text(x), _float_text(np.abs(x - y))
             cells = zip(
-                map(str, trace.k[rows].tolist()),
-                _float_text(trace.t[rows]),
+                map(str, range(lo, hi)),
+                map(repr, (np.arange(lo, hi) * trace.params.delta).tolist()),  # grid times seldom repeat: no lookup
                 x_text,
                 _float_text(y),
                 map(_INT8_TEXT.__getitem__, trace.h[rows].tolist()),
@@ -406,7 +411,7 @@ def read_trace_csv(path, params: CodecParams) -> Trace:
     row loop. Raises FormatError naming the file, and the row loop names the
     offending row where there is one; a mix of empty and filled x cells is one.
     """
-    columns = _read_canonical_csv(path) or _read_csv_rows(path)
+    columns = _read_canonical_csv(path, params.delta) or _read_csv_rows(path, params.delta)
     return Trace.from_columns(params, **columns, substituted=None)
 
 
@@ -415,7 +420,7 @@ def read_trace_csv(path, params: CodecParams) -> Trace:
 _CANONICAL_BYTES = b"0123456789+-.eEnNaAiIfFtTyY,\r\n"
 
 
-def _read_canonical_csv(path) -> Optional[dict]:
+def _read_canonical_csv(path, delta: float) -> Optional[dict]:
     """The columns of a file in the writer's form, or None where the row loop
     might read other columns from it.
 
@@ -425,7 +430,7 @@ def _read_canonical_csv(path) -> Optional[dict]:
     stray CR or a short row fails it, a blank line shows in the row count.
     ``h`` and ``in_switch`` are matched as text (loadtxt reads ``+1`` as 1),
     ``k`` must be plain digits (older numpy parses an int cell through
-    float) running 0..n-1, and the x cells must be all empty or all numbers.
+    float) running 0..n-1, ``t`` be k*delta, and x all empty or all numbers.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -450,19 +455,20 @@ def _read_canonical_csv(path) -> Optional[dict]:
         k_text[:, -1].any()
         or ((k_text - 48 > 9) & (k_text > 0)).any()  # a byte other than a digit or padding
         or not np.array_equal(table["k"], np.arange(rows))  # a skipped blank line fails this too
+        or (table["t"] != np.arange(rows) * delta).any()
         or np.count_nonzero(h == b"1") + np.count_nonzero(h == b"-1") != rows
         or (x_empty and (table["x"] != b"").any())
     ):
         return None
-    return dict(k=table["k"].copy(), t=table["t"].copy(), x=None if x_empty else table["x"].copy(),
+    return dict(x=None if x_empty else table["x"].copy(),
                 y=table["y"].copy(), h=np.where(h == b"1", PLUS, MINUS).astype(np.int8),
                 m=table["m"].copy(), in_switch=table["in_switch"] == b"1")  # the row loop's rule
 
 
-def _read_csv_rows(path) -> dict:
+def _read_csv_rows(path, delta: float) -> dict:
     """The row loop behind :func:`read_trace_csv`: ``csv.reader`` over the
-    file, one converted and checked row at a time. Every x cell is empty, as
-    on row 2, or none is."""
+    file, one converted and checked row at a time. Row k+2 holds step k at
+    time k*delta, and every x cell is empty, as on row 2, or none is."""
     rows: list[tuple] = []
     with open(path, "r", encoding="ascii", newline="") as fh:
         reader = csv.reader(fh)
@@ -482,21 +488,23 @@ def _read_csv_rows(path) -> dict:
                     raise FormatError(f"{path}: row {i}: h must be +1 or -1, got {row[4]}")
                 if cells[0] != len(rows):
                     raise FormatError(f"{path}: row {i}: step index {cells[0]}, expected {len(rows)}")
-                if rows and (cells[2] is None) != (rows[0][2] is None):  # samples at every step or at none
+                if cells[1] != cells[0] * delta:
+                    raise FormatError(f"{path}: row {i}: t={cells[1]!r} != k*delta={cells[0] * delta!r}")
+                if rows and (cells[2] is None) != (rows[0][0] is None):  # samples at every step or at none
                     raise FormatError(f"{path}: row {i}: x cell {'filled' if row[2] else 'empty'}, unlike row 2's")
-                rows.append(cells)
+                rows.append(cells[2:])
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: not an ASCII trace CSV: {exc}") from exc
         except csv.Error as exc:
             raise FormatError(f"{path}: row {reader.line_num}: {exc}") from exc
-    columns = dict(zip(("k", "t", "x", "y", "h", "m", "in_switch"), list(zip(*rows)) or [()] * 7))
-    return {**columns, "x": None if rows and rows[0][2] is None else columns["x"]}
+    columns = dict(zip(("x", "y", "h", "m", "in_switch"), list(zip(*rows)) or [()] * 5))
+    return {**columns, "x": None if rows and rows[0][0] is None else columns["x"]}
 
 
 def write_json(path, document: dict) -> None:
     """Sorted-key JSON with a trailing newline, written atomically."""
     text = json.dumps(document, sort_keys=True, indent=2) + "\n"
-    with _Replacing(path, encoding="utf-8") as fh:
+    with _replacing(path, encoding="utf-8") as fh:
         fh.write(text)
 
 

@@ -55,6 +55,11 @@ class TestTransmit:
         with pytest.raises(ParameterError):
             Erasure(p=1.0)
 
+    @pytest.mark.parametrize("p", [False, True])
+    def test_probability_must_not_be_a_bool(self, p):
+        with pytest.raises(ParameterError, match=f"erasure probability must be in \\[0, 1\\), got {p}"):
+            Erasure(p=p)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "7", None])
     def test_seed_must_be_a_non_negative_int(self, seed):
         with pytest.raises(ParameterError, match="seed"):

@@ -265,8 +265,7 @@ def estimate_at(trace, t):
     delta = trace.params.delta
     # a grid time k*delta is the right end of cell k-1: y[k] bit for bit on a codec trace
     k = min(max(restart_index(delta, t) - 1, 0), len(trace) - 1)
-    k, t_k, y, h, m = (column[k].item() for column in (trace.k, trace.t, trace.y, trace.h, trace.m))
-    return reconstruct(StepRecord(k, t_k, None, y, h, m, False), t, delta)
+    return reconstruct(trace.records[k], t, delta)
 
 
 def test_estimate_at_matches_reconstruct(hand_params, hand_samples):

@@ -273,6 +273,17 @@ def test_nan_config_value_exits_2(key, value, message, command, tmp_path, capsys
     assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", ["Infinity", "1e400"])
+def test_infinite_band_multiplier_exits_2(text, tmp_path, capsys):
+    # an infinite band holds every error: compare reported recovery in 0 steps
+    # for both rules and wrote the non-standard JSON token Infinity
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_bad_config("comparison.proximity_band_multiplier", 0.5)).replace("0.5", text))
+    assert main(["compare", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: comparison: proximity band multiplier must be > 0 and finite, got inf\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, pytest.param(10**400, id="10**400")])
 def test_horizon_beyond_float_range_rejected(bad):
     # math.isfinite overflows on an int beyond float range instead of answering
@@ -573,12 +584,10 @@ class TestCliVerify:
                      "--trace", str(trace_path), "--out", str(tmp_path)])
 
     @pytest.mark.parametrize("text", [repr(math.nextafter(3.0, 4.0)), repr(math.nextafter(3.0, 2.0))])
-    def test_time_one_ulp_off_is_a_consistency_violation(self, tmp_path, capsys, text):
-        # the verifier's cells are the grid's, so t is check_trace's finding alone
-        assert self._verify_edited_cell(tmp_path, 301, "t", text) == 1
-        out = capsys.readouterr().out.splitlines()
-        assert out[-2:] == [f"violation: trace_consistency at step 300: t={text} != k*delta=3.0",
-                            f"1 violation(s) -> {tmp_path / 'sine_report.json'}"]
+    def test_time_one_ulp_off_is_a_format_error(self, tmp_path, capsys, text):
+        # step k is at k*delta: the reader refuses a file off that grid, naming the row
+        assert self._verify_edited_cell(tmp_path, 301, "t", text) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / 'sine_trace.csv'}: row 302: t={text} != k*delta=3.0\n"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_infinite_slope_cell_is_flagged_without_a_warning(self, tmp_path, capsys):
@@ -953,7 +962,7 @@ def test_trace_csv_reader_agrees_with_the_row_loop_on_any_file(data):
         with open(path, "wb") as fh:
             fh.write(data)
         try:
-            want = Trace.from_columns(params, **harness._read_csv_rows(path), substituted=None)
+            want = Trace.from_columns(params, **harness._read_csv_rows(path, params.delta), substituted=None)
         except FormatError as exc:
             with pytest.raises(FormatError) as got:
                 read_trace_csv(path, params)
@@ -1084,10 +1093,16 @@ class TestAtomicWrites:
     def test_a_failed_write_removes_the_temp_file(self, tmp_path):
         params = CodecParams(y0=0.0, m0=1.0, mbar=1.0, a=2.0, delta=1.0)
         (tmp_path / "trace.csv").write_text("kept")
-        with pytest.raises(IndexError):  # x_values shorter than the trace
+        with pytest.raises(ParameterError, match="x_values holds 1 samples for 3 steps"):
             write_trace_csv(tmp_path / "trace.csv", decode_bitstream(params, [1, -1, 1]), x_values=(0.5,))
         assert os.listdir(tmp_path) == ["trace.csv"]
         assert (tmp_path / "trace.csv").read_text() == "kept"
+
+    def test_two_dimensional_x_values_are_refused_not_flattened(self, tmp_path):
+        params = CodecParams(y0=0.0, m0=1.0, mbar=1.0, a=2.0, delta=1.0)
+        with pytest.raises(ParameterError, match="trace column x must be a sequence of numbers"):
+            write_trace_csv(tmp_path / "trace.csv", decode_bitstream(params, [1, -1, 1]), x_values=[[0.5]] * 3)
+        assert os.listdir(tmp_path) == []
 
 
 class TestCliRuleOverride:

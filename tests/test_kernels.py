@@ -395,21 +395,17 @@ def interval_detail(report, step):
     return violation.detail
 
 
-def test_tampered_record_time_is_check_traces_finding():
-    # the verifier's cells are the grid's; a wrong t column changes no claim
-    spec = Sine(amplitude=1.0, frequency_hz=1.0)
-    samples = sample(spec, 0.01, 1.0)
+def test_tampered_record_time_is_refused_when_the_trace_is_built():
+    # step k is at k*delta: a trace holds no time of its own for the verifier or check_trace to read
+    samples = sample(Sine(amplitude=1.0, frequency_hz=1.0), 0.01, 1.0)
     params = CodecParams(y0=0.0, m0=13.0, mbar=13.0, a=1.5, delta=0.01)
     _, trace = encode_signal(params, samples)
     records = list(trace.records)
     k = len(records) - 5
     records[k] = replace(records[k], t=records[k].t + 0.001)
-    tampered = Trace(params=params, records=tuple(records))
-    variation = VariationBound(rate=1.0, window=(0.0, 1.0), oversample_factor=32)
-    report = verify_theorem(tampered, samples, variation)
-    assert "interval_error" in report.checked
-    assert report.to_dict() == verify_theorem(trace, samples, variation).to_dict()
-    assert check_trace(tampered) == [(k, f"t={records[k].t!r} != k*delta={trace.t[k].item()!r}")]
+    with pytest.raises(ParameterError, match=rf"^record {k} is off the grid: k={k}, t={records[k].t!r}, "
+                                             rf"not {k}, {trace.records[k].t!r}$"):
+        Trace(params=params, records=tuple(records))
 
 
 # --- cell_reach pruning ----------------------------------------------------------
@@ -520,7 +516,7 @@ def near_bound_runs(draw):
     m = rng.choice([mbar, params.a * mbar, math.inf], n, p=[0.6, 0.3, 0.1])
     m[0] = mbar
     trace = Trace.from_columns(
-        params, k=ks, t=ks * delta, x=x, y=x - err, h=h, m=m,
+        params, x=x, y=x - err, h=h, m=m,
         in_switch=(rng.random(n) < 0.3) & (m != math.inf), substituted=None,
     )
     variation = VariationBound(rate=rate, window=(0.0, n * delta), oversample_factor=factor)
@@ -700,10 +696,6 @@ def oracle_check_trace(params, records):
     rederived = oracle_decode_bitstream(params, [r.h for r in records])
     h_prev = PLUS
     for k, (got, want) in enumerate(zip(records, rederived)):
-        if got.k != k:
-            problems.append((k, f"record index {got.k} != position {k}"))
-        if got.t != want.t:
-            problems.append((k, f"t={got.t!r} != k*delta={want.t!r}"))
         if got.y != want.y:
             problems.append((k, f"y={got.y!r} != recursion value {want.y!r}"))
         if got.m != want.m:
@@ -716,11 +708,20 @@ def oracle_check_trace(params, records):
     return problems
 
 
+def trace_column(trace, name):
+    """A column of ``trace`` as Python scalars; ``k`` and ``t``, which no
+    column holds, from its records."""
+    if name in ("k", "t"):
+        return [getattr(r, name) for r in trace.records]
+    return trace.x_list() if name == "x" else getattr(trace, name).tolist()
+
+
 def assert_same_columns(trace, records):
-    """Every column equal to the oracle's records, floats bit for bit."""
+    """Every column, k and t included, equal to the oracle's records, floats
+    bit for bit."""
     assert len(trace) == len(records)
-    for name in Trace.COLUMNS:
-        column = trace.x_list() if name == "x" else getattr(trace, name).tolist()
+    for name in ("k", "t", *Trace.COLUMNS):
+        column = trace_column(trace, name)
         want = [getattr(r, name) for r in records]
         if name in ("t", "y", "m"):
             assert_bitwise_equal(column, want)
@@ -855,6 +856,8 @@ def test_bad_samples_raise_like_oracle(values):
     assert str(got.value) == str(want.value)
 
 
+# k and t are the grid's: a record off it is refused when the trace is built,
+# before check_trace could see it
 TAMPERS = {
     "k": lambda r, rng: rng.choice([r.k + 1, r.k - 1, 0]),
     "t": lambda r, rng: math.nextafter(r.t, math.inf),
@@ -877,6 +880,11 @@ def test_check_trace_matches_oracle_on_tampered_traces(field, seed):
         records = list(trace.records)
     for k in rng.sample(range(len(records)), rng.randrange(1, 4)):
         records[k] = replace(records[k], **{field: TAMPERS[field](records[k], rng)})
+    off = [k for k, r in enumerate(records) if r.k != k or r.t != k * params.delta]
+    if off:
+        with pytest.raises(ParameterError, match=rf"^record {off[0]} is off the grid: "):
+            Trace(params=params, records=records)
+        return
     tampered = Trace(params=params, records=records)
     assert check_trace(tampered) == oracle_check_trace(params, records)
 
@@ -916,11 +924,15 @@ def test_check_trace_non_finite_sample_raises_like_oracle(bad, earlier_problem):
 def test_from_columns_refuses_a_column_it_cannot_convert_exactly(hand_params, hand_samples, column, bad):
     """A string, an object, a fraction or an out-of-range value for an
     integer column is refused when the trace is built, not truncated or
-    wrapped (2.5 would read as 2, 300 as 44)."""
+    wrapped (2.5 would read as 2, 300 as 44). A record's k and t are
+    converted as columns before they are checked against the grid;
+    from_columns takes neither."""
     _, trace = encode_signal(hand_params, hand_samples)
     columns = columns_of(trace)
+    if column in ("k", "t"):
+        columns[column] = trace_column(trace, column)
     columns[column][3] = bad
-    with pytest.raises(ParameterError, match=f"trace column {column}"):
+    with pytest.raises(ParameterError, match="must be exactly" if column in ("k", "t") else f"trace column {column}"):
         Trace.from_columns(hand_params, **columns)
     records = list(trace.records)
     records[3] = replace(records[3], **{column: bad})
@@ -939,6 +951,15 @@ def test_trace_columns_must_be_complete_and_of_equal_length(hand_params, hand_sa
         Trace.from_columns(hand_params, **columns)
 
 
+@pytest.mark.parametrize("name", ["k", "t"])
+def test_from_columns_takes_no_grid_column(hand_params, hand_samples, name):
+    # the row index and delta give k and t; no column may restate them, even on the grid
+    _, trace = encode_signal(hand_params, hand_samples)
+    assert Trace.COLUMNS == ("x", "y", "h", "m", "in_switch", "substituted")
+    with pytest.raises(ParameterError, match="trace columns must be exactly"):
+        Trace.from_columns(hand_params, **columns_of(trace), **{name: trace_column(trace, name)})
+
+
 def test_a_zero_symbol_is_left_to_the_codec(hand_params, hand_samples):
     """An h of 0 converts exactly, so the trace builds and check_trace's
     decode raises the codec's NumericError, as on a list of symbols."""
@@ -955,10 +976,10 @@ def test_check_trace_reports_every_problem_in_row_order(hand_params, hand_sample
     _, trace = encode_signal(hand_params, hand_samples)
     records = list(trace.records)
     records[2] = replace(records[2], x=-50.0, y=3.5, m=4.5)
-    records[7] = replace(records[7], k=70, t=7.5, in_switch=True)
+    records[7] = replace(records[7], m=7.5, in_switch=True)
     problems = check_trace(Trace(params=hand_params, records=records))
     assert problems == oracle_check_trace(hand_params, records)
-    assert [k for k, _ in problems] == [2, 2, 2, 7, 7, 7]
+    assert [k for k, _ in problems] == [2, 2, 2, 7, 7]
 
 
 def test_check_trace_rejects_a_bad_symbol_like_oracle(hand_params, hand_samples):
@@ -998,7 +1019,7 @@ def test_trace_from_records_keeps_the_records_view(hand_params, hand_samples):
     _, trace = encode_signal(hand_params, hand_samples)
     rebuilt = Trace(params=hand_params, records=trace.records[:5])
     assert rebuilt.records == trace.records[:5]
-    assert rebuilt.y.tolist() == trace.y[:5].tolist() and rebuilt.k.tolist() == [0, 1, 2, 3, 4]
+    assert rebuilt.y.tolist() == trace.y[:5].tolist() and len(rebuilt) == 5
     assert rebuilt.records is rebuilt.records
     assert Trace(hand_params, trace.records) == trace
 
@@ -1019,6 +1040,38 @@ def test_consistent_traces_have_no_problems(hand_params, hand_samples):
         except NumericError:
             continue
         assert check_trace(trace) == []
+
+
+def grid_producers(tmp_path):
+    """Every way admtrack builds a trace, by name, over 0.007 s steps (most
+    grid times are no exact multiple) running past one CSV write chunk."""
+    params = CodecParams(y0=0.0, m0=0.3, mbar=0.3, a=1.5, delta=0.007)
+    samples = sample(Sine(amplitude=1.0, frequency_hz=0.5), params.delta, (CHUNK_ROWS + 30) * params.delta)
+    bits, encoded = encode_signal(params, samples)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(path, encoded)
+    state, records = init_state(params), []
+    for h in bits:
+        state, record = decode_step(state, h)
+        records.append(record)
+    return {
+        "encode_modified": lambda: encoded,
+        "encode_jayant": lambda: encode_signal(params.with_rule(AdaptationRule.JAYANT), samples)[1],
+        "decode_bitstream": lambda: decode_bitstream(params, bits),
+        "decode_with_erasures": lambda: decode_with_erasures(params, transmit(bits, Erasure(p=0.2, seed=1))),
+        "records": lambda: Trace(params, records),
+        "read_trace_csv": lambda: read_trace_csv(path, params),
+    }
+
+
+@pytest.mark.parametrize("producer", ["encode_modified", "encode_jayant", "decode_bitstream",
+                                      "decode_with_erasures", "records", "read_trace_csv"])
+def test_every_producer_puts_step_k_at_k_delta(tmp_path, producer):
+    trace = grid_producers(tmp_path)[producer]()
+    delta = trace.params.delta
+    assert len(trace) == CHUNK_ROWS + 30
+    assert [(type(r.k), r.k) for r in trace.records] == [(int, k) for k in range(len(trace))]
+    assert [(type(r.t), r.t.hex()) for r in trace.records] == [(float, (k * delta).hex()) for k in range(len(trace))]
 
 
 # --- the decode scan -----------------------------------------------------------
@@ -1044,7 +1097,7 @@ def assert_decodes_like_oracle(params, symbols):
     if want is not None:
         assert_same_columns(trace, want)
         for name, kind in COLUMN_TYPES.items():
-            assert all(type(v) is kind for v in getattr(trace, name).tolist()), name
+            assert all(type(v) is kind for v in trace_column(trace, name)), name
     return trace
 
 
@@ -1222,7 +1275,7 @@ def test_encode_matches_oracle_property(case):
         assert bits == [r.h for r in want]
         assert_same_columns(trace, want)
         for name, kind in COLUMN_TYPES.items():
-            assert all(type(v) is kind for v in getattr(trace, name).tolist()), name
+            assert all(type(v) is kind for v in trace_column(trace, name)), name
 
 
 def test_clean_modified_encode_never_enters_the_loop(hand_params, hand_samples, monkeypatch):
@@ -1322,6 +1375,8 @@ def oracle_read_trace_csv(path, params):
                     raise FormatError(f"{path}: row {i}: h must be +1 or -1, got {row[4]}")
                 if k != len(records):
                     raise FormatError(f"{path}: row {i}: step index {k}, expected {len(records)}")
+                if t != k * params.delta:
+                    raise FormatError(f"{path}: row {i}: t={t!r} != k*delta={k * params.delta!r}")
                 records.append(StepRecord(k, t, x, y, h, m, in_switch))
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: not an ASCII trace CSV: {exc}") from exc
@@ -1407,34 +1462,31 @@ SPECIAL_FLOAT_BITS = float_bits(
     pools=st.lists(
         st.lists(st.one_of(st.sampled_from(SPECIAL_FLOAT_BITS), st.integers(-2**63, 2**63 - 1)),
                  min_size=1, max_size=6),
-        min_size=5, max_size=5),
+        min_size=4, max_size=4),
     x_mode=st.sampled_from(("absent", "present")),
-    x_values_form=st.sampled_from((None, "tuple", "list", "array", "short tuple", "short array")),
+    x_values_form=st.sampled_from((None, "tuple", "list", "array")),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(n=CHUNK_ROWS + 1, pools=[float_bits(0.0, -0.0)] * 5, x_mode="absent",
-         x_values_form="short tuple", seed=0)
-@example(n=2 * CHUNK_ROWS + 5, pools=[SPECIAL_FLOAT_BITS] * 5, x_mode="absent",
+@example(n=CHUNK_ROWS + 1, pools=[float_bits(0.0, -0.0)] * 4, x_mode="absent",
+         x_values_form="tuple", seed=0)
+@example(n=2 * CHUNK_ROWS + 5, pools=[SPECIAL_FLOAT_BITS] * 4, x_mode="absent",
          x_values_form="array", seed=1)
 def test_trace_csv_writer_matches_oracle_on_any_float_bits(n, pools, x_mode, x_values_form, seed):
-    """Any float64 bit patterns in t, x, y, m and ``x_values``, repeated within
+    """Any float64 bit patterns in x, y, m and ``x_values``, repeated within
     a chunk and across chunk boundaries, with x absent or present,
     write the oracle's bytes and no RuntimeWarning. ``x_values`` are read as
     float64 samples, so the oracle is given them as Python floats."""
     rng = np.random.default_rng(seed)
-    t, x, y, m, samples = (np.array(pool, np.int64).view(np.float64)[rng.integers(len(pool), size=n)]
-                           for pool in pools)
-    present = {"absent": np.zeros(n, bool), "present": np.ones(n, bool)}[x_mode]
+    x, y, m, samples = (np.array(pool, np.int64).view(np.float64)[rng.integers(len(pool), size=n)]
+                        for pool in pools)
     trace = Trace.from_columns(
         CodecParams(y0=5.0, m0=13.0, mbar=13.0, a=1.5, delta=0.01),
-        k=np.arange(n), t=t, y=y, h=rng.choice(np.array([PLUS, MINUS], np.int8), size=n), m=m,
+        y=y, h=rng.choice(np.array([PLUS, MINUS], np.int8), size=n), m=m,
         in_switch=rng.random(n) < 0.5, substituted=None,
         x={"absent": None, "present": x}[x_mode],
     )
-    if x_values_form is not None and x_values_form.startswith("short"):  # covers every absent k only
-        samples = samples[:np.flatnonzero(~present)[-1] + 1 if not present.all() else 0]
-    x_values = {None: None, "tuple": tuple(samples.tolist()), "list": samples.tolist(), "array": samples,
-                "short tuple": tuple(samples.tolist()), "short array": samples}[x_values_form]
+    x_values = {None: None, "tuple": tuple(samples.tolist()), "list": samples.tolist(),
+                "array": samples}[x_values_form]
     with tempfile.TemporaryDirectory() as tmp:
         new, old = os.path.join(tmp, "new.csv"), os.path.join(tmp, "old.csv")
         with warnings.catch_warnings():
@@ -1446,7 +1498,7 @@ def test_trace_csv_writer_matches_oracle_on_any_float_bits(n, pools, x_mode, x_v
 
 
 def test_canonical_files_skip_the_row_loop(tmp_path, monkeypatch):
-    def row_loop(path):
+    def row_loop(path, delta):
         raise AssertionError("row loop ran on a file in the writer's form")
 
     monkeypatch.setattr(harness, "_read_csv_rows", row_loop)
@@ -1503,6 +1555,8 @@ CSV_MUTATIONS = {
     "non_ascii_byte_second_chunk": lambda lines: lines[:SECOND_CHUNK] + [set_cell(lines[SECOND_CHUNK], 7, b"\xc3\xa9")] + lines[SECOND_CHUNK + 1:],
     "nul_in_ignored_cell": lambda lines: lines[:5] + [set_cell(lines[5], 7, b"\x00")] + lines[6:],
     "bad_float_second_chunk": lambda lines: lines[:SECOND_CHUNK] + [set_cell(lines[SECOND_CHUNK], 1, b"1.0.0")] + lines[SECOND_CHUNK + 1:],
+    "t_one_ulp_off_second_chunk": lambda lines: lines[:SECOND_CHUNK] + [set_cell(lines[SECOND_CHUNK], 1, repr(
+        math.nextafter(float(lines[SECOND_CHUNK].split(b",")[1]), math.inf)).encode())] + lines[SECOND_CHUNK + 1:],
     "empty_x_cell": lambda lines: lines[:5] + [set_cell(set_cell(lines[5], 2, b""), 7, b"")] + lines[6:],
     "signed_and_spaced_ints": lambda lines: lines[:5] + [set_cell(set_cell(lines[5], 0, b" +4"), 4, b"+1 ")] + lines[6:],
     "stray_cr": lambda lines: lines[:5] + [set_cell(lines[5], 7, b"1\r2")] + lines[6:],
@@ -1544,7 +1598,7 @@ def test_misaligned_rows_read_like_the_row_loop(tmp_path):
     path = tmp_path / "misaligned.csv"
     path.write_bytes(b"".join(line + b"\r\n" for line in misaligned(list(lines), 20)))
     trace = read_trace_csv(path, params)
-    assert trace.y[20] == 1.0 and trace.k.tolist() == list(range(len(lines) - 1))
+    assert trace.y[20] == 1.0 and len(trace) == len(lines) - 1
 
 
 # --- steady-state scans ---------------------------------------------------------

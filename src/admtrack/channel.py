@@ -38,6 +38,7 @@ from .codec import (
     codec_to_dict,
 )
 from .errors import FormatError, ParameterError
+from .signals import _check_real
 
 __all__ = [
     "Noiseless",
@@ -64,7 +65,8 @@ class Erasure:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if isinstance(self.p, bool) or not 0.0 <= self.p < 1.0:
+        _check_real("Erasure.p", self.p)
+        if not 0.0 <= self.p < 1.0:
             raise ParameterError(f"erasure probability must be in [0, 1), got {self.p!r}")
         if isinstance(self.seed, bool) or not (isinstance(self.seed, int) and self.seed >= 0):
             raise ParameterError(f"erasure seed must be a non-negative integer, got {self.seed!r}")

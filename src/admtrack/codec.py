@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from bisect import bisect_left
 from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
@@ -49,7 +48,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import DomainError, FormatError, NumericError, ParameterError, SequencingError
-from .signals import SampledSignal
+from .signals import SampledSignal, _check_real
 
 __all__ = [
     "PLUS",
@@ -108,10 +107,8 @@ class CodecParams:
     def __post_init__(self) -> None:
         for name in ("y0", "m0", "mbar", "a", "delta"):
             value = getattr(self, name)
-            # false for nan, +-inf and ints beyond float range (isfinite raises on those)
-            if isinstance(value, bool) or not (
-                isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-            ):
+            _check_real(name, value)
+            if not math.isfinite(value):
                 raise ParameterError(f"{name} must be a finite number, got {value!r}")
             object.__setattr__(self, name, float(value))
         if not isinstance(self.rule, AdaptationRule):

@@ -19,10 +19,9 @@ Only signal, codec and horizon are required; an absent key takes its dataclass
 field's default. Numbers are JSON numbers or numeric strings, never bools;
 ``oversample_factor`` and ``channel.seed`` are integers, the others fit a float.
 
-Trace CSVs have the fixed header ``k,t,x,y,h,M,in_switch,err_abs`` (x and
-err_abs cells are empty on every row of a trace without samples, or on none);
-report JSONs are sorted-key documents. Identical configs produce
-byte-identical outputs.
+Trace CSVs have the fixed header ``k,t,x,y,h,M,in_switch`` (x cells are
+empty on every row of a trace without samples, or on none); report JSONs
+are sorted-key documents. Identical configs produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -59,6 +58,7 @@ from .signals import (
     SampledSignal,
     SignalSpec,
     Sine,
+    _check_real,
     discontinuities,
     estimate_variation_bound,
     restart_index,
@@ -87,7 +87,7 @@ __all__ = [
     "write_json",
 ]
 
-TRACE_COLUMNS = ["k", "t", "x", "y", "h", "M", "in_switch", "err_abs"]
+TRACE_COLUMNS = ["k", "t", "x", "y", "h", "M", "in_switch"]
 
 
 @dataclass(frozen=True)
@@ -99,6 +99,7 @@ class ComparisonSettings:
         if not isinstance(self.baseline, AdaptationRule):
             object.__setattr__(self, "baseline", AdaptationRule(self.baseline))
         value = self.proximity_band_multiplier
+        _check_real("ComparisonSettings.proximity_band_multiplier", value)
         if not 0.0 < value <= sys.float_info.max:  # nan fails too
             raise ParameterError(f"proximity band multiplier must be > 0 and finite, got {value}")
 
@@ -371,7 +372,7 @@ def _float_text(column: np.ndarray) -> list:
 
 def write_trace_csv(path, trace: Trace, x_values=None) -> None:
     """Write the fixed-schema trace CSV; on a trace without samples, ``x_values``
-    (one float per step, else a ParameterError) fills x and err_abs, or they are empty.
+    (one float per step, else a ParameterError) fills the x cells, or they are empty.
 
     Rows end in CRLF; floats are ``repr``, ``in_switch`` 1/0. Each CHUNK_ROWS chunk is
     one write, and a float column that repeats takes one ``repr`` per value."""
@@ -383,22 +384,14 @@ def write_trace_csv(path, trace: Trace, x_values=None) -> None:
         fh.write(_HEADER_LINE)
         for lo in range(0, n, CHUNK_ROWS):
             rows, hi = slice(lo, lo + CHUNK_ROWS), min(lo + CHUNK_ROWS, n)
-            y = trace.y[rows]
-            if samples is None:
-                x_text = err_text = [""] * len(y)
-            else:
-                x = samples[rows]
-                with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 1e308 - -1e308
-                    x_text, err_text = _float_text(x), _float_text(np.abs(x - y))
             cells = zip(
                 map(str, range(lo, hi)),
                 map(repr, (np.arange(lo, hi) * trace.params.delta).tolist()),  # grid times seldom repeat: no lookup
-                x_text,
-                _float_text(y),
+                [""] * (hi - lo) if samples is None else _float_text(samples[rows]),
+                _float_text(trace.y[rows]),
                 map(_INT8_TEXT.__getitem__, trace.h[rows].tolist()),
                 _float_text(trace.m[rows]),
                 map(_INT8_TEXT.__getitem__, trace.in_switch[rows].tolist()),
-                err_text,
             )
             fh.write("\r\n".join(map(",".join, cells)))
             fh.write("\r\n")
@@ -409,7 +402,8 @@ def read_trace_csv(path, params: CodecParams) -> Trace:
     carries none). Files in the writer's form are parsed by numpy's C
     tokeniser; any other (LF line ends, quotes, whitespace, ...) goes to the
     row loop. Raises FormatError naming the file, and the row loop names the
-    offending row where there is one; a mix of empty and filled x cells is one.
+    offending row where there is one: a row not of 7 cells is one, as is a
+    mix of empty and filled x cells.
     """
     columns = _read_canonical_csv(path, params.delta) or _read_csv_rows(path, params.delta)
     return Trace.from_columns(params, **columns, substituted=None)
@@ -425,9 +419,10 @@ def _read_canonical_csv(path, delta: float) -> Optional[dict]:
     might read other columns from it.
 
     After the header, no byte outside ``_CANONICAL_BYTES`` may occur (so no
-    quote, ``#``, whitespace or non-ASCII). ``np.loadtxt``'s number cells
-    accept a subset of what ``int``/``float`` accept, with equal values; a
-    stray CR or a short row fails it, a blank line shows in the row count.
+    quote, ``#``, whitespace or non-ASCII), and there are 6 commas a line
+    (``np.loadtxt`` reads no cell past the 7th). Its number cells accept a
+    subset of what ``int``/``float`` accept, with equal values; a stray CR
+    or a short row fails it, a blank line shows in the row count.
     ``h`` and ``in_switch`` are matched as text (loadtxt reads ``+1`` as 1),
     ``k`` must be plain digits (older numpy parses an int cell through
     float) running 0..n-1, ``t`` be k*delta, and x all empty or all numbers.
@@ -435,10 +430,10 @@ def _read_canonical_csv(path, delta: float) -> Optional[dict]:
     with open(path, "rb") as fh:
         data = fh.read()
     header = _HEADER_LINE.encode("ascii")
-    if not data.startswith(header) or (
+    rows = data.count(b"\n") - data.endswith(b"\n")  # lines after the header
+    if not data.startswith(header) or data.count(b",") != header.count(b",") * (rows + 1) or (
             data.translate(None, _CANONICAL_BYTES) != header.translate(None, _CANONICAL_BYTES)):
         return None
-    rows = data.count(b"\n") - data.endswith(b"\n")  # lines after the header
     x_empty = data[len(header):data.find(b"\n", len(header))].split(b",")[2:3] == [b""]
     width = len(str(rows)) + 1  # one more than any k in range, so none is cut
     fields = [("k", "i8"), ("k_text", f"S{width}"), ("t", "f8"), ("x", "S1" if x_empty else "f8"),
@@ -479,10 +474,12 @@ def _read_csv_rows(path, delta: float) -> dict:
             if header != TRACE_COLUMNS:
                 raise FormatError(f"{path}: row 1: header {header} != {TRACE_COLUMNS}")
             for i, row in enumerate(reader, start=2):
+                if len(row) != len(TRACE_COLUMNS):  # a cell too many would go unread
+                    raise FormatError(f"{path}: row {i}: {len(row)} cells, expected {len(TRACE_COLUMNS)}")
                 try:  # k, t, x, y, h, m, in_switch
                     cells = (int(row[0]), float(row[1]), float(row[2]) if row[2] else None,
                              float(row[3]), int(row[4]), float(row[5]), row[6] == "1")
-                except (IndexError, ValueError) as exc:
+                except ValueError as exc:
                     raise FormatError(f"{path}: row {i}: {exc}") from exc
                 if cells[4] not in (1, -1):
                     raise FormatError(f"{path}: row {i}: h must be +1 or -1, got {row[4]}")

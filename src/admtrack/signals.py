@@ -58,9 +58,12 @@ _EPS = 2.0**-52  # float64's rounding unit doubled, the eps of cell_reach's budg
 _TINY = 8 * 2.0**-1074  # 8 subnormals, for rounding near 0
 
 
-def _check_float_range(what: str, value) -> None:
-    """Every float operation on an int beyond float range overflows; reject it
-    by its digit count, so an error line does not repeat hundreds of digits."""
+def _check_real(what: str, value) -> None:
+    """Refuse a bool, a non-number and an int beyond float range, on which every
+    float operation overflows; that one is named by its digit count, so an
+    error line does not repeat hundreds of digits."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParameterError(f"{what} must be a real number, got {value!r}")
     if isinstance(value, int) and abs(value) > sys.float_info.max:
         raise ParameterError(f"{what} is an int of {len(str(abs(value)))} digits, beyond float range")
 
@@ -81,16 +84,16 @@ class _Signal:
         return None
 
 
-class _FloatFields(_Signal):
-    """Checks every field with :func:`_check_float_range`; stores them as given."""
+class _RealFields:
+    """Checks every field with :func:`_check_real`; stores them as given."""
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            _check_float_range(f"{type(self).__name__}.{f.name}", getattr(self, f.name))
+            _check_real(f"{type(self).__name__}.{f.name}", getattr(self, f.name))
 
 
 @dataclass(frozen=True)
-class Constant(_FloatFields):
+class Constant(_RealFields, _Signal):
     level: float
 
     def at_array(self, t: np.ndarray) -> np.ndarray:
@@ -102,7 +105,7 @@ class Constant(_FloatFields):
 
 
 @dataclass(frozen=True)
-class Ramp(_FloatFields):
+class Ramp(_RealFields, _Signal):
     slope: float
     intercept: float
 
@@ -117,7 +120,7 @@ class Ramp(_FloatFields):
 
 
 @dataclass(frozen=True)
-class Sine(_FloatFields):
+class Sine(_RealFields, _Signal):
     amplitude: float
     frequency_hz: float
     phase: float = 0.0
@@ -146,7 +149,7 @@ class Piecewise(_Signal):
 
     def __post_init__(self) -> None:
         for s, _ in self.segments:
-            _check_float_range("Piecewise segment start", s)
+            _check_real("Piecewise segment start", s)
         segs = tuple((float(s), spec) for s, spec in self.segments)
         object.__setattr__(self, "segments", segs)
         if not segs:
@@ -210,13 +213,14 @@ class VariationBound:
 
 
 @dataclass(frozen=True)
-class GrowthBound:
+class GrowthBound(_RealFields):
     """Certifies |x(t + tau)| <= scale * (|x(t)| + tau**exponent)."""
 
     scale: float
     exponent: float = 1.0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         # written so that nan fails too
         if not (self.scale > 0.0 and self.exponent > 0.0):
             raise ParameterError("growth bound needs scale > 0 and exponent > 0")

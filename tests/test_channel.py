@@ -57,7 +57,7 @@ class TestTransmit:
 
     @pytest.mark.parametrize("p", [False, True])
     def test_probability_must_not_be_a_bool(self, p):
-        with pytest.raises(ParameterError, match=f"erasure probability must be in \\[0, 1\\), got {p}"):
+        with pytest.raises(ParameterError, match=f"^Erasure.p must be a real number, got {p}$"):
             Erasure(p=p)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "7", None])

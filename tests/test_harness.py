@@ -220,6 +220,30 @@ def test_bad_config_value_exits_2(key, value, command, tmp_path, capsys):
     assert err.count("0" * 400) <= 1
 
 
+# built in code, not read from a config (whose numbers read_section converts):
+# each raised a raw TypeError, sampled a string as a float or ended in
+# numpy's UFuncTypeError
+@pytest.mark.parametrize("build, field", [
+    pytest.param(lambda: Erasure(p="0.1"), "Erasure.p", id="erasure_p_str"),
+    pytest.param(lambda: Erasure(p=None), "Erasure.p", id="erasure_p_none"),
+    pytest.param(lambda: ComparisonSettings(proximity_band_multiplier="1"),
+                 "ComparisonSettings.proximity_band_multiplier", id="band_multiplier_str"),
+    pytest.param(lambda: ComparisonSettings(proximity_band_multiplier=True),
+                 "ComparisonSettings.proximity_band_multiplier", id="band_multiplier_bool"),
+    pytest.param(lambda: GrowthBound(scale="1"), "GrowthBound.scale", id="growth_scale_str"),
+    pytest.param(lambda: GrowthBound(scale=1.0, exponent=True), "GrowthBound.exponent", id="growth_exponent_bool"),
+    pytest.param(lambda: Constant(level="2"), "Constant.level", id="constant_level_str"),
+    pytest.param(lambda: Sine(amplitude="1", frequency_hz=1.0), "Sine.amplitude", id="sine_amplitude_str"),
+    pytest.param(lambda: Ramp(slope=1.0, intercept=False), "Ramp.intercept", id="ramp_intercept_bool"),
+    pytest.param(lambda: Piecewise(((0.0, Constant(1.0)), ("1", Constant(2.0)))),
+                 "Piecewise segment start", id="segment_start_str"),
+    pytest.param(lambda: CodecParams(y0="5", m0=1.0, mbar=1.0, a=1.5, delta=0.1), "y0", id="codec_y0_str"),
+])
+def test_library_parameters_must_be_real_numbers(build, field):
+    with pytest.raises(ParameterError, match=f"^{field} must be a real number, got "):
+        build()
+
+
 OVERFLOWING_CONFIG_VALUES = {
     # 2*pi*f overflows to inf, and inf*0 is nan at the segment's start; the
     # error names the absolute time, not the time on the segment's own clock (0.0)
@@ -427,25 +451,25 @@ class TestTraceCsv:
         path = tmp_path / "trace.csv"
         write_trace_csv(path, result.decoder_trace, x_values=result.samples.values)
         first = path.read_text().splitlines()[0]
-        assert first == "k,t,x,y,h,M,in_switch,err_abs"
+        assert first == "k,t,x,y,h,M,in_switch"
 
     def test_decode_only_trace_has_empty_x_cells(self, tmp_path):
         result = run_simulation(jump_config())
         path = tmp_path / "trace.csv"
         write_trace_csv(path, result.decoder_trace)
         row = path.read_text().splitlines()[1].split(",")
-        assert row[2] == "" and row[7] == ""
+        assert row[2] == "" and len(row) == 7
 
     @pytest.mark.parametrize("line_end", ["\r\n", "\n"])  # the canonical reader and the row loop
     def test_header_only_trace_has_no_samples(self, tmp_path, line_end):
         path = tmp_path / "trace.csv"
-        path.write_text("k,t,x,y,h,M,in_switch,err_abs" + line_end, newline="")
+        path.write_text("k,t,x,y,h,M,in_switch" + line_end, newline="")
         trace = read_trace_csv(path, PAPER_CODEC)
         assert len(trace) == 0 and trace.x is None
 
     def test_malformed_row_reports_number(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("k,t,x,y,h,M,in_switch,err_abs\n0,0.0,1.0,oops,1,1.0,0,\n")
+        path.write_text("k,t,x,y,h,M,in_switch\n0,0.0,1.0,oops,1,1.0,0\n")
         with pytest.raises(FormatError, match="row 2"):
             read_trace_csv(path, PAPER_CODEC)
 
@@ -477,7 +501,7 @@ class TestTraceCsv:
         # a cell beyond csv.field_size_limit() is a csv.Error on every version
         path = tmp_path / "bad.csv"
         big = "1" * (csv.field_size_limit() + 1)
-        path.write_text(f"k,t,x,y,h,M,in_switch,err_abs\n0,0.0,,0.0,1,1.0,0,{big}\n")
+        path.write_text(f"k,t,x,y,h,M,in_switch\n0,0.0,,0.0,1,1.0,{big}\n")
         with pytest.raises(FormatError, match="row 2") as error:
             read_trace_csv(path, PAPER_CODEC)
         assert str(path) in str(error.value)
@@ -583,6 +607,28 @@ class TestCliVerify:
         return main(["verify", "--config", str(CONFIGS / "sine_steady.json"),
                      "--trace", str(trace_path), "--out", str(tmp_path)])
 
+    @pytest.mark.parametrize("column", TRACE_COLUMNS)
+    def test_every_cell_of_a_trace_file_is_read(self, tmp_path, column):
+        # one changed cell of any column (row 6, step 5) is refused, read as
+        # another trace, or fails verify --trace: no column goes unchecked
+        assert _run_in(tmp_path / "run", "sine_steady.json", "simulate") == 0
+        trace_path = tmp_path / "run" / "sine_trace.csv"
+        codec = load_config(CONFIGS / "sine_steady.json").codec
+        written = read_trace_csv(trace_path, codec)
+        rows = trace_path.read_bytes().split(b"\r\n")
+        cells = rows[5].split(b",")
+        i = TRACE_COLUMNS.index(column)
+        cells[i] = b"-1" if cells[i] == b"1" else b"1"
+        rows[5] = b",".join(cells)
+        trace_path.write_bytes(b"\r\n".join(rows))
+        try:
+            if read_trace_csv(trace_path, codec) != written:
+                return
+        except FormatError:
+            return
+        assert main(["verify", "--config", str(CONFIGS / "sine_steady.json"),
+                     "--trace", str(trace_path), "--out", str(tmp_path / "file")]) != 0
+
     @pytest.mark.parametrize("text", [repr(math.nextafter(3.0, 4.0)), repr(math.nextafter(3.0, 2.0))])
     def test_time_one_ulp_off_is_a_format_error(self, tmp_path, capsys, text):
         # step k is at k*delta: the reader refuses a file off that grid, naming the row
@@ -611,7 +657,7 @@ class TestCliVerify:
         trace_path = tmp_path / "sine_trace.csv"
         rows = trace_path.read_bytes().split(b"\r\n")
         cells = rows[row - 1].split(b",")
-        cells[2] = cells[7] = b""
+        cells[2] = b""
         rows[row - 1] = b",".join(cells)
         trace_path.write_bytes(b"\r\n".join(rows))
         code = main(["verify", "--config", str(CONFIGS / "sine_steady.json"),
@@ -677,13 +723,13 @@ class TestCliVerify:
     @pytest.mark.parametrize(
         "row",
         [
-            "0,0.0,,0.0,1,1.0,0,\u00e9",  # not ASCII
-            "0,0.0,,0.\x00,1,1.0,0,",  # NUL: csv.Error on Python 3.10, a bad float later
+            "0,0.0,,0.0,1,1.0,\u00e9",  # not ASCII
+            "0,0.0,,0.\x00,1,1.0,0",  # NUL: csv.Error on Python 3.10, a bad float later
         ],
     )
     def test_undecodable_trace_exits_2(self, tmp_path, capsys, row):
         trace_path = tmp_path / "bad_trace.csv"
-        trace_path.write_bytes(f"k,t,x,y,h,M,in_switch,err_abs\r\n{row}\r\n".encode("utf-8"))
+        trace_path.write_bytes(f"k,t,x,y,h,M,in_switch\r\n{row}\r\n".encode("utf-8"))
         code = main(["verify", "--config", str(CONFIGS / "sine_steady.json"),
                      "--trace", str(trace_path), "--out", str(tmp_path)])
         assert code == 2

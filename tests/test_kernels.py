@@ -1342,11 +1342,10 @@ def oracle_write_trace_csv(path, trace, x_values=None):
             x = record.x
             if x is None and x_values is not None:
                 x = x_values[record.k]
-            err = abs(x - record.y) if x is not None else None
             writer.writerow(
                 [record.k, oracle_format_cell(record.t), oracle_format_cell(x),
                  oracle_format_cell(record.y), record.h, oracle_format_cell(record.m),
-                 oracle_format_cell(record.in_switch), oracle_format_cell(err)]
+                 oracle_format_cell(record.in_switch)]
             )
 
 
@@ -1361,6 +1360,8 @@ def oracle_read_trace_csv(path, params):
             if header != TRACE_COLUMNS:
                 raise FormatError(f"{path}: row 1: header {header} != {TRACE_COLUMNS}")
             for i, row in enumerate(reader, start=2):
+                if len(row) != len(TRACE_COLUMNS):
+                    raise FormatError(f"{path}: row {i}: {len(row)} cells, expected {len(TRACE_COLUMNS)}")
                 try:
                     k = int(row[0])
                     t = float(row[1])
@@ -1369,7 +1370,7 @@ def oracle_read_trace_csv(path, params):
                     h = int(row[4])
                     m = float(row[5])
                     in_switch = row[6] == "1"
-                except (IndexError, ValueError) as exc:
+                except ValueError as exc:
                     raise FormatError(f"{path}: row {i}: {exc}") from exc
                 if h not in (1, -1):
                     raise FormatError(f"{path}: row {i}: h must be +1 or -1, got {row[4]}")
@@ -1527,11 +1528,12 @@ def set_cell(line, index, value):
 
 
 def misaligned(lines, i):
-    """Row i gets a 9th cell and row i + 1 loses its 8th, with cells chosen
-    so that a parser splitting the chunk into 8-cell rows would still see k
-    run in order and h = +-1 (shifted one cell right)."""
+    """Row i gets an 8th cell and row i + 1 loses its 7th, so the file holds
+    the commas of 7-cell rows, with cells chosen so that a parser splitting
+    the chunk into 7-cell rows would still see k run in order and h = +-1
+    (shifted one cell right)."""
     lines[i] += b"," + str(i).encode()
-    lines[i + 1] = set_cell(b",".join(lines[i + 1].split(b",")[:7]), 3, b"1")
+    lines[i + 1] = set_cell(b",".join(lines[i + 1].split(b",")[:6]), 3, b"1")
     return lines
 
 
@@ -1543,25 +1545,27 @@ CSV_MUTATIONS = {
     "no_final_newline": lambda lines: lines,
     "quoted_h": lambda lines: lines[:5] + [set_cell(lines[5], 4, b'"1"')] + lines[6:],
     "quoted_k": lambda lines: lines[:5] + [set_cell(lines[5], 0, b'"4"')] + lines[6:],
-    "seven_fields": lambda lines: lines[:5] + [b",".join(lines[5].split(b",")[:7])] + lines[6:],
-    "nine_fields": lambda lines: lines[:5] + [lines[5] + b",extra"] + lines[6:],
-    "seven_and_nine_fields_misaligned": lambda lines: misaligned(lines, 20),
+    "six_fields": lambda lines: lines[:5] + [b",".join(lines[5].split(b",")[:6])] + lines[6:],
+    "nine_fields": lambda lines: lines[:5] + [lines[5] + b",extra,extra"] + lines[6:],
+    "one_extra_cell": lambda lines: lines[:5] + [lines[5] + b",1"] + lines[6:],
+    "six_and_eight_fields_misaligned": lambda lines: misaligned(lines, 20),
     "blank_line": lambda lines: lines[:5] + [b""] + lines[5:],
     "bad_h": lambda lines: lines[:5] + [set_cell(lines[5], 4, b"2")] + lines[6:],
     "bad_h_second_chunk": lambda lines: lines[:SECOND_CHUNK] + [set_cell(lines[SECOND_CHUNK], 4, b"0")] + lines[SECOND_CHUNK + 1:],
     "out_of_order_k": lambda lines: lines[:5] + [lines[6], lines[5]] + lines[7:],
     "missing_row": lambda lines: lines[:SECOND_CHUNK] + lines[SECOND_CHUNK + 1:],
     "non_ascii_byte": lambda lines: lines[:5] + [lines[5] + b"\xe9"] + lines[6:],
-    "non_ascii_byte_second_chunk": lambda lines: lines[:SECOND_CHUNK] + [set_cell(lines[SECOND_CHUNK], 7, b"\xc3\xa9")] + lines[SECOND_CHUNK + 1:],
-    "nul_in_ignored_cell": lambda lines: lines[:5] + [set_cell(lines[5], 7, b"\x00")] + lines[6:],
+    "non_ascii_byte_second_chunk": lambda lines: lines[:SECOND_CHUNK] + [set_cell(lines[SECOND_CHUNK], 6, b"\xc3\xa9")] + lines[SECOND_CHUNK + 1:],
+    "nul_in_ignored_cell": lambda lines: lines[:5] + [lines[5] + b",\x00"] + lines[6:],  # the err_abs cell once
     "bad_float_second_chunk": lambda lines: lines[:SECOND_CHUNK] + [set_cell(lines[SECOND_CHUNK], 1, b"1.0.0")] + lines[SECOND_CHUNK + 1:],
     "t_one_ulp_off_second_chunk": lambda lines: lines[:SECOND_CHUNK] + [set_cell(lines[SECOND_CHUNK], 1, repr(
         math.nextafter(float(lines[SECOND_CHUNK].split(b",")[1]), math.inf)).encode())] + lines[SECOND_CHUNK + 1:],
-    "empty_x_cell": lambda lines: lines[:5] + [set_cell(set_cell(lines[5], 2, b""), 7, b"")] + lines[6:],
+    "empty_x_cell": lambda lines: lines[:5] + [set_cell(lines[5], 2, b"")] + lines[6:],
     "signed_and_spaced_ints": lambda lines: lines[:5] + [set_cell(set_cell(lines[5], 0, b" +4"), 4, b"+1 ")] + lines[6:],
-    "stray_cr": lambda lines: lines[:5] + [set_cell(lines[5], 7, b"1\r2")] + lines[6:],
+    "stray_cr": lambda lines: lines[:5] + [set_cell(lines[5], 6, b"1\r2")] + lines[6:],
     "lf_header": lambda lines: [lines[0] + b"\n" + lines[1]] + lines[2:],
-    "bad_header": lambda lines: [b"k,t,x,y,h,m,in_switch,err_abs"] + lines[1:],
+    "bad_header": lambda lines: [b"k,t,x,y,h,m,in_switch"] + lines[1:],
+    "legacy_header": lambda lines: [b"k,t,x,y,h,M,in_switch,err_abs"] + [line + b",0.0" for line in lines[1:]],
     "header_only": lambda lines: lines[:1],
     "empty_file": lambda lines: [],
 }
@@ -1589,16 +1593,17 @@ def test_trace_csv_reader_matches_oracle_on_mutated_files(tmp_path, mutation):
     if want is not None:
         assert outcome == want
     elif mutation != "nul_in_ignored_cell":  # csv rejects NUL before Python 3.11
-        assert mutation not in ("clean", "lf_only", "no_final_newline", "seven_fields")
+        assert mutation not in ("clean", "lf_only", "no_final_newline")
 
 
 def test_misaligned_rows_read_like_the_row_loop(tmp_path):
-    """The 7- and 9-cell rows above are accepted, with row 21's y read as 1."""
+    """The 8- and 6-cell rows above hold as many commas as two 7-cell rows;
+    the row loop refuses the first of them, and so does the reader."""
     params, lines = csv_lines(tmp_path)
     path = tmp_path / "misaligned.csv"
     path.write_bytes(b"".join(line + b"\r\n" for line in misaligned(list(lines), 20)))
-    trace = read_trace_csv(path, params)
-    assert trace.y[20] == 1.0 and len(trace) == len(lines) - 1
+    with pytest.raises(FormatError, match="row 21: 8 cells, expected 7$"):
+        read_trace_csv(path, params)
 
 
 # --- steady-state scans ---------------------------------------------------------

@@ -725,6 +725,9 @@ class TestCliVerify:
         [
             "0,0.0,,0.0,1,1.0,\u00e9",  # not ASCII
             "0,0.0,,0.\x00,1,1.0,0",  # NUL: csv.Error on Python 3.10, a bad float later
+            # the same bytes in a row of the older 8-cell layout
+            "0,0.0,,0.0,1,1.0,0,\u00e9",
+            "0,0.0,,0.\x00,1,1.0,0,",  # csv.Error on Python 3.10, a cell too many later
         ],
     )
     def test_undecodable_trace_exits_2(self, tmp_path, capsys, row):

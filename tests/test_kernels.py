@@ -1556,7 +1556,7 @@ CSV_MUTATIONS = {
     "missing_row": lambda lines: lines[:SECOND_CHUNK] + lines[SECOND_CHUNK + 1:],
     "non_ascii_byte": lambda lines: lines[:5] + [lines[5] + b"\xe9"] + lines[6:],
     "non_ascii_byte_second_chunk": lambda lines: lines[:SECOND_CHUNK] + [set_cell(lines[SECOND_CHUNK], 6, b"\xc3\xa9")] + lines[SECOND_CHUNK + 1:],
-    "nul_in_ignored_cell": lambda lines: lines[:5] + [lines[5] + b",\x00"] + lines[6:],  # the err_abs cell once
+    "nul_in_ignored_cell": lambda lines: lines[:5] + [lines[5] + b",\x00"] + lines[6:],  # an 8th cell, as err_abs was
     "bad_float_second_chunk": lambda lines: lines[:SECOND_CHUNK] + [set_cell(lines[SECOND_CHUNK], 1, b"1.0.0")] + lines[SECOND_CHUNK + 1:],
     "t_one_ulp_off_second_chunk": lambda lines: lines[:SECOND_CHUNK] + [set_cell(lines[SECOND_CHUNK], 1, repr(
         math.nextafter(float(lines[SECOND_CHUNK].split(b",")[1]), math.inf)).encode())] + lines[SECOND_CHUNK + 1:],

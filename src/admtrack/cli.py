@@ -144,7 +144,7 @@ def cmd_simulate(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
     result = run_simulation(config)
     trace_path, report_path = _write_run(result, args.out)
-    print(f"{len(result.bits)} bits over {config.horizon}s -> {trace_path}, {report_path}")
+    print(f"{len(result.decoder_trace)} bits over {config.horizon}s -> {trace_path}, {report_path}")
     return 0
 
 

@@ -40,7 +40,6 @@ from .codec import (
     PLUS,
     AdaptationRule,
     CodecParams,
-    Symbol,
     Trace,
     _exact,
     codec_from_dict,
@@ -48,8 +47,8 @@ from .codec import (
     encode_signal,
     read_section,
 )
-from .channel import ChannelModel, Erasure, Noiseless, ReceivedStream, _replacing, decode_with_erasures, transmit
-from .errors import DomainError, FormatError, ParameterError
+from .channel import ChannelModel, Erasure, Noiseless, _replacing, decode_with_erasures, transmit
+from .errors import DomainError, FormatError, NumericError, ParameterError
 from .signals import (
     Constant,
     GrowthBound,
@@ -122,11 +121,16 @@ class ExperimentConfig:
     comparison: Optional[ComparisonSettings] = None
 
     def __post_init__(self) -> None:
-        # false for nan, +-inf and ints beyond float range (isfinite raises on those)
-        if not (abs(self.horizon) <= sys.float_info.max and self.horizon > 0.0):
+        # false for nan, +-inf and ints beyond float range (isfinite raises on those);
+        # a bool or a non-number is left to _check_real
+        if isinstance(self.horizon, (int, float)) and not (
+                abs(self.horizon) <= sys.float_info.max and self.horizon > 0.0):
             raise ParameterError(f"horizon must be finite and > 0, got {self.horizon}")
+        _check_real("ExperimentConfig.horizon", self.horizon)
         if self.horizon < self.codec.delta:
             raise ParameterError("horizon shorter than one sampling period")
+        if isinstance(self.oversample_factor, bool) or not isinstance(self.oversample_factor, int):
+            raise ParameterError(f"oversample_factor must be an integer, got {self.oversample_factor!r}")
         if self.oversample_factor < 2:
             raise ParameterError("oversample_factor must be >= 2")
 
@@ -153,9 +157,6 @@ class ComparisonReport:
 class SimulationResult:
     config: ExperimentConfig
     samples: SampledSignal
-    bits: list[Symbol]
-    received: ReceivedStream
-    encoder_trace: Trace
     decoder_trace: Trace
     report: TheoremReport
 
@@ -236,20 +237,24 @@ def load_config(path) -> ExperimentConfig:
 
 
 def run_simulation(config: ExperimentConfig) -> SimulationResult:
-    """Sample, encode, transmit, decode, and verify one experiment."""
+    """Sample, encode, transmit, decode, and verify one experiment; a noiseless run checks the mirror first."""
     samples = sample(config.signal, config.codec.delta, config.horizon)
-    bits, encoder_trace = encode_signal(config.codec, samples)
-    received = transmit(bits, config.channel)
-    decoder_trace = decode_with_erasures(config.codec, received)
-    return SimulationResult(
-        config=config,
-        samples=samples,
-        bits=bits,
-        received=received,
-        encoder_trace=encoder_trace,
-        decoder_trace=decoder_trace,
-        report=verify_run(config, decoder_trace, samples),
-    )
+    bits, sent = encode_signal(config.codec, samples)
+    trace = decode_with_erasures(config.codec, transmit(bits, config.channel))
+    if isinstance(config.channel, Noiseless):  # erasures make the traces differ on purpose
+        _check_mirror(sent, trace)
+    return SimulationResult(config, samples, trace, verify_run(config, trace, samples))
+
+
+def _check_mirror(sent: Trace, received: Trace) -> None:
+    """Raise a NumericError at the first step and column where ``received`` is not ``sent`` bit for bit."""
+    names = ("y", "h", "m", "in_switch")
+    pairs = [(getattr(sent, name), getattr(received, name)) for name in names]
+    differs = np.array([a.view(f"i{a.itemsize}") != b.view(f"i{b.itemsize}") for a, b in pairs])  # -0.0 is not 0.0
+    for k in np.flatnonzero(differs.any(axis=0))[:1].tolist():
+        i = int(differs[:, k].argmax())
+        raise NumericError(f"decoder trace differs from the encoder's at step {k}, column {names[i]}: "
+                           f"decoder {pairs[i][1][k].item()!r}, encoder {pairs[i][0][k].item()!r}")
 
 
 def verify_run(config: ExperimentConfig, trace: Trace, samples: SampledSignal) -> TheoremReport:
@@ -359,15 +364,22 @@ _HEADER_LINE = ",".join(TRACE_COLUMNS) + "\r\n"
 # str(v) at index v for every int8 v (negative indices count from the end)
 _INT8_TEXT = tuple(map(str, range(128))) + tuple(map(str, range(-128, 0)))
 
+# Below this many rows np.unique's fixed cost outweighs the reprs it saves. For
+# the x, y and M columns of a sine trace, one repr per cell against the lookup:
+# 57 vs 91 µs at 50 rows, 112 vs 112 at 100, 462 vs 318 at 400 (numpy 2.4,
+# Python 3.11, x86-64 Xeon).
+LOOKUP_ROWS = 100
+
 
 def _float_text(column: np.ndarray) -> list:
-    """``repr`` of each float64 of ``column``, once per bit pattern where most
-    repeat (-0.0 == 0.0, but their reprs differ)."""
-    codes, index = np.unique(column.view(np.int64), return_inverse=True)
-    if 2 * len(codes) > len(index):  # mostly distinct: no lookup
-        return list(map(repr, column.tolist()))
-    text = list(map(repr, codes.view(np.float64).tolist()))
-    return list(map(text.__getitem__, index.tolist()))
+    """``repr`` of each float64 of ``column``; in a column of LOOKUP_ROWS or more
+    whose values mostly repeat, once per bit pattern (-0.0 == 0.0, but their reprs differ)."""
+    if len(column) >= LOOKUP_ROWS:
+        codes, index = np.unique(column.view(np.int64), return_inverse=True)
+        if 2 * len(codes) <= len(index):
+            text = list(map(repr, codes.view(np.float64).tolist()))
+            return list(map(text.__getitem__, index.tolist()))
+    return list(map(repr, column.tolist()))
 
 
 def write_trace_csv(path, trace: Trace, x_values=None) -> None:
@@ -423,9 +435,10 @@ def _read_canonical_csv(path, delta: float) -> Optional[dict]:
     (``np.loadtxt`` reads no cell past the 7th). Its number cells accept a
     subset of what ``int``/``float`` accept, with equal values; a stray CR
     or a short row fails it, a blank line shows in the row count.
-    ``h`` and ``in_switch`` are matched as text (loadtxt reads ``+1`` as 1),
-    ``k`` must be plain digits (older numpy parses an int cell through
-    float) running 0..n-1, ``t`` be k*delta, and x all empty or all numbers.
+    ``h`` must be ``1``/``-1`` and ``in_switch`` ``1``/``0``, matched as text
+    (loadtxt reads ``+1`` as 1), ``k`` plain digits (older numpy parses an
+    int cell through float) running 0..n-1, ``t`` k*delta, and x all empty
+    or all numbers.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -445,19 +458,20 @@ def _read_canonical_csv(path, delta: float) -> Optional[dict]:
     except ValueError:
         return None
     k_text = np.ascontiguousarray(table["k_text"]).view(np.uint8).reshape(-1, width)
-    h = table["h"]
+    h, switch = table["h"], table["in_switch"] == b"1"
     if (
         k_text[:, -1].any()
         or ((k_text - 48 > 9) & (k_text > 0)).any()  # a byte other than a digit or padding
         or not np.array_equal(table["k"], np.arange(rows))  # a skipped blank line fails this too
         or (table["t"] != np.arange(rows) * delta).any()
         or np.count_nonzero(h == b"1") + np.count_nonzero(h == b"-1") != rows
+        or np.count_nonzero(switch) + np.count_nonzero(table["in_switch"] == b"0") != rows
         or (x_empty and (table["x"] != b"").any())
     ):
         return None
     return dict(x=None if x_empty else table["x"].copy(),
                 y=table["y"].copy(), h=np.where(h == b"1", PLUS, MINUS).astype(np.int8),
-                m=table["m"].copy(), in_switch=table["in_switch"] == b"1")  # the row loop's rule
+                m=table["m"].copy(), in_switch=switch)
 
 
 def _read_csv_rows(path, delta: float) -> dict:
@@ -483,6 +497,8 @@ def _read_csv_rows(path, delta: float) -> dict:
                     raise FormatError(f"{path}: row {i}: {exc}") from exc
                 if cells[4] not in (1, -1):
                     raise FormatError(f"{path}: row {i}: h must be +1 or -1, got {row[4]}")
+                if row[6] not in ("0", "1"):
+                    raise FormatError(f"{path}: row {i}: in_switch must be 1 or 0, got {row[6]!r}")
                 if cells[0] != len(rows):
                     raise FormatError(f"{path}: row {i}: step index {cells[0]}, expected {len(rows)}")
                 if cells[1] != cells[0] * delta:
@@ -512,7 +528,7 @@ def simulation_document(result: SimulationResult) -> dict:
         "channel": channel_to_dict(result.config.channel),
         "horizon": result.config.horizon,
         "n_samples": len(result.samples),
-        "n_bits": len(result.bits),
-        "n_erasures": len(result.received.erased_positions()),
+        "n_bits": len(result.decoder_trace),
+        "n_erasures": int(np.count_nonzero(result.decoder_trace.substituted)),
         "verification": result.report.to_dict(),
     }

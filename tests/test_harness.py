@@ -8,13 +8,15 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -26,12 +28,14 @@ from admtrack import (
     Constant,
     ExperimentConfig,
     FormatError,
+    NumericError,
     ParameterError,
     Piecewise,
     Ramp,
     Sine,
     Trace,
     decode_bitstream,
+    decode_with_erasures,
     encode_signal,
     estimate_variation_bound,
     load_config,
@@ -47,7 +51,9 @@ from admtrack.cli import _build_parser, main
 import admtrack.harness as harness
 from admtrack.channel import Erasure, Noiseless
 from admtrack.codec import codec_from_dict, codec_to_dict
-from admtrack.harness import TRACE_COLUMNS, channel_from_dict, channel_to_dict, config_from_dict, write_json
+from admtrack.harness import (
+    TRACE_COLUMNS, SimulationResult, channel_from_dict, channel_to_dict, config_from_dict, write_json,
+)
 from admtrack.signals import GrowthBound
 
 from conftest import HAND_BODY
@@ -315,6 +321,23 @@ def test_horizon_beyond_float_range_rejected(bad):
         jump_config(horizon=bad)
 
 
+# a non-number raised a raw TypeError from abs() or "<"; True ran as a 1 s
+# horizon and 4.5 as a fractional oversampling factor
+@pytest.mark.parametrize("key, value, message", [
+    ("horizon", "1", "ExperimentConfig.horizon must be a real number, got '1'"),
+    ("horizon", None, "ExperimentConfig.horizon must be a real number, got None"),
+    ("horizon", True, "ExperimentConfig.horizon must be a real number, got True"),
+    ("oversample_factor", "4", "oversample_factor must be an integer, got '4'"),
+    ("oversample_factor", None, "oversample_factor must be an integer, got None"),
+    ("oversample_factor", 4.5, "oversample_factor must be an integer, got 4.5"),
+    ("oversample_factor", 32.0, "oversample_factor must be an integer, got 32.0"),
+    ("oversample_factor", True, "oversample_factor must be an integer, got True"),
+])
+def test_config_built_in_code_checks_its_types(key, value, message):
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        jump_config(**{key: value})
+
+
 # each was accepted before: a negative seed ended in numpy's raw ValueError
 # (exit 1), a non-integral number was silently truncated
 BAD_INTEGER_VALUES = [
@@ -355,19 +378,65 @@ def test_codec_params_reject_bools(name):
 class TestRunSimulation:
     def test_paper_bit_budget(self):
         result = run_simulation(jump_config())
-        assert len(result.bits) == 50
+        bits, _ = encode_signal(PAPER_CODEC, result.samples)
+        assert len(bits) == 50
         assert len(result.decoder_trace) == 50
 
     def test_half_delta_doubles_bits(self):
         codec = CodecParams(y0=5.0, m0=0.04, mbar=0.04, a=1.5, delta=0.02)
         result = run_simulation(jump_config(codec=codec))
-        assert len(result.bits) == 100
+        assert len(result.decoder_trace) == 100
+        assert result.decoder_trace.bits() == encode_signal(codec, result.samples)[0]
 
-    def test_decoder_mirrors_encoder_over_noiseless(self):
+    def test_result_holds_one_trace(self):
+        assert [f.name for f in fields(SimulationResult)] == ["config", "samples", "decoder_trace", "report"]
         result = run_simulation(jump_config())
+        _, encoded = encode_signal(PAPER_CODEC, result.samples)
         assert result.decoder_trace.records == tuple(
-            r.__class__(**{**r.__dict__, "x": None}) for r in result.encoder_trace.records
+            r.__class__(**{**r.__dict__, "x": None}) for r in encoded.records
         )
+
+    def test_decoder_mirrors_encoder_over_noiseless(self, monkeypatch, tmp_path, capsys):
+        # a decoder one ulp off the encoder at one step is caught, not verified
+        def off_by_one_ulp(params, received):
+            trace = decode_with_erasures(params, received)
+            y = trace.y.copy()
+            y[7] = math.nextafter(y[7], math.inf)
+            return Trace.from_columns(params, x=None, y=y, h=trace.h, m=trace.m,
+                                      in_switch=trace.in_switch, substituted=trace.substituted)
+
+        monkeypatch.setattr(harness, "decode_with_erasures", off_by_one_ulp)
+        with pytest.raises(NumericError, match=r"at step 7, column y: decoder 4\.\d+, encoder 4\.\d+$"):
+            run_simulation(jump_config())
+        assert _run_in(tmp_path, "paper_delta004.json", "simulate") == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: decoder trace differs from the encoder's at step 7")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("column, change", [
+        ("y", lambda v: -v),  # on a step where y is 0.0: -0.0 == 0.0, but its bits differ
+        ("h", lambda v: -v),
+        ("m", lambda v: 2 * v),
+        ("in_switch", lambda v: not v),
+    ], ids=["y_signed_zero", "h", "m", "in_switch"])
+    def test_first_differing_step_and_column_are_named(self, monkeypatch, column, change):
+        def tampered(params, received):
+            trace = decode_with_erasures(params, received)
+            columns = {name: getattr(trace, name).copy() for name in ("y", "h", "m", "in_switch")}
+            columns[column][20] = change(columns[column][20])
+            columns["y"][30] += 1.0  # a later step: not the one named
+            return Trace.from_columns(params, x=None, substituted=None, **columns)
+
+        monkeypatch.setattr(harness, "decode_with_erasures", tampered)
+        config = jump_config(signal=Constant(0.0), codec=replace(PAPER_CODEC, y0=0.0))  # y is 0.0 on even steps
+        with pytest.raises(NumericError, match=f"at step 20, column {column}: "):
+            run_simulation(config)
+
+    def test_erasure_runs_are_not_compared(self):
+        result = run_simulation(jump_config(channel=Erasure(p=0.3, seed=1)))
+        _, encoded = encode_signal(PAPER_CODEC, result.samples)
+        assert result.decoder_trace.substituted.any()
+        assert not np.array_equal(result.decoder_trace.y, encoded.y)
 
     def test_jump_gates_steady_claims(self):
         # whole-horizon variation includes the jump, so the floor cannot
@@ -440,11 +509,11 @@ class TestRunCompare:
 
 class TestTraceCsv:
     def test_round_trip_exact(self, tmp_path):
-        result = run_simulation(jump_config())
+        _, encoded = encode_signal(PAPER_CODEC, sample(JUMP_SIGNAL, PAPER_CODEC.delta, 2.0))
         path = tmp_path / "trace.csv"
-        write_trace_csv(path, result.encoder_trace)
+        write_trace_csv(path, encoded)
         back = read_trace_csv(path, PAPER_CODEC)
-        assert back.records == result.encoder_trace.records
+        assert back.records == encoded.records
 
     def test_header_schema(self, tmp_path):
         result = run_simulation(jump_config())
@@ -650,6 +719,22 @@ class TestCliVerify:
         ]
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("text", ["7", "-1", "10", "+1", ""])
+    def test_in_switch_other_than_0_or_1_exits_2(self, tmp_path, capsys, text):
+        # any cell but "1" was read as "not a switch", and the file verified
+        assert _run_in(tmp_path, "sine_steady.json", "simulate") == 0
+        trace_path = tmp_path / "sine_trace.csv"
+        rows = trace_path.read_text().splitlines()
+        cells = rows[6].split(",")
+        cells[6] = text  # step 5, row 7
+        rows[6] = ",".join(cells)
+        trace_path.write_text("\r\n".join(rows) + "\r\n", newline="")
+        capsys.readouterr()
+        code = main(["verify", "--config", str(CONFIGS / "sine_steady.json"),
+                     "--trace", str(trace_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {trace_path}: row 7: in_switch must be 1 or 0, got {text!r}\n"
+
     @pytest.mark.parametrize("row, state", [(6, "empty"), (2, "filled")])
     def test_trace_mixing_empty_and_filled_x_cells_exits_2(self, tmp_path, capsys, row, state):
         # blanking row 2 leaves every later row filled, unlike it
@@ -779,14 +864,14 @@ class TestCliEncodeDecode:
         assert [r.m for r in trace.records] == HAND_M
 
     def test_decode_of_encode_matches_encoder_columns(self, tmp_path):
-        result = run_simulation(jump_config())
+        _, encoded = encode_signal(PAPER_CODEC, sample(JUMP_SIGNAL, PAPER_CODEC.delta, 2.0))
         samples_path = tmp_path / "samples.csv"
-        write_trace_csv(samples_path, result.encoder_trace)  # has an x column
+        write_trace_csv(samples_path, encoded)  # has an x column
         assert main(["encode", str(samples_path), "--delta", "0.04", "--y0", "5",
                      "--m0", "0.08", "--mbar", "0.08", "--a", "1.5"]) == 0
         assert main(["decode", str(tmp_path / "samples.odm")]) == 0
         decoded = read_trace_csv(tmp_path / "samples_trace.csv", PAPER_CODEC)
-        for a, b in zip(decoded.records, result.encoder_trace.records):
+        for a, b in zip(decoded.records, encoded.records):
             assert (a.y, a.m) == (b.y, b.m)
 
     def test_decode_slope_overflow_exits_2(self, tmp_path, capsys):

@@ -68,7 +68,7 @@ from admtrack import (
     verify_theorem,
     write_trace_csv,
 )
-from admtrack.harness import CHUNK_ROWS, TRACE_COLUMNS
+from admtrack.harness import CHUNK_ROWS, LOOKUP_ROWS, TRACE_COLUMNS
 from admtrack.signals import CHUNK_CELLS, cell_grid
 
 
@@ -1374,6 +1374,8 @@ def oracle_read_trace_csv(path, params):
                     raise FormatError(f"{path}: row {i}: {exc}") from exc
                 if h not in (1, -1):
                     raise FormatError(f"{path}: row {i}: h must be +1 or -1, got {row[4]}")
+                if row[6] not in ("0", "1"):
+                    raise FormatError(f"{path}: row {i}: in_switch must be 1 or 0, got {row[6]!r}")
                 if k != len(records):
                     raise FormatError(f"{path}: row {i}: step index {k}, expected {len(records)}")
                 if t != k * params.delta:
@@ -1459,7 +1461,8 @@ SPECIAL_FLOAT_BITS = float_bits(
 
 @settings(max_examples=150, deadline=None)
 @given(
-    n=st.one_of(st.integers(0, 40), st.sampled_from((CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 5))),
+    n=st.one_of(st.integers(0, 40), st.sampled_from((LOOKUP_ROWS - 1, LOOKUP_ROWS, CHUNK_ROWS - 1, CHUNK_ROWS,
+                                                      CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 5))),
     pools=st.lists(
         st.lists(st.one_of(st.sampled_from(SPECIAL_FLOAT_BITS), st.integers(-2**63, 2**63 - 1)),
                  min_size=1, max_size=6),
@@ -1472,10 +1475,14 @@ SPECIAL_FLOAT_BITS = float_bits(
          x_values_form="tuple", seed=0)
 @example(n=2 * CHUNK_ROWS + 5, pools=[SPECIAL_FLOAT_BITS] * 4, x_mode="absent",
          x_values_form="array", seed=1)
+@example(n=LOOKUP_ROWS - 1, pools=[float_bits(0.0, -0.0)] * 4, x_mode="present",
+         x_values_form="list", seed=2)
+@example(n=LOOKUP_ROWS, pools=[float_bits(0.0, -0.0)] * 4, x_mode="present",
+         x_values_form="list", seed=2)
 def test_trace_csv_writer_matches_oracle_on_any_float_bits(n, pools, x_mode, x_values_form, seed):
     """Any float64 bit patterns in x, y, m and ``x_values``, repeated within
-    a chunk and across chunk boundaries, with x absent or present,
-    write the oracle's bytes and no RuntimeWarning. ``x_values`` are read as
+    a chunk and across chunk boundaries, in chunks on either side of
+    LOOKUP_ROWS, with x absent or present, write the oracle's bytes and no RuntimeWarning. ``x_values`` are read as
     float64 samples, so the oracle is given them as Python floats."""
     rng = np.random.default_rng(seed)
     x, y, m, samples = (np.array(pool, np.int64).view(np.float64)[rng.integers(len(pool), size=n)]
@@ -1551,6 +1558,9 @@ CSV_MUTATIONS = {
     "six_and_eight_fields_misaligned": lambda lines: misaligned(lines, 20),
     "blank_line": lambda lines: lines[:5] + [b""] + lines[5:],
     "bad_h": lambda lines: lines[:5] + [set_cell(lines[5], 4, b"2")] + lines[6:],
+    "bad_in_switch": lambda lines: lines[:5] + [set_cell(lines[5], 6, b"7")] + lines[6:],
+    "bad_in_switch_second_chunk": lambda lines: lines[:SECOND_CHUNK] + [set_cell(lines[SECOND_CHUNK], 6, b"10")] + lines[SECOND_CHUNK + 1:],
+    "empty_in_switch": lambda lines: lines[:5] + [set_cell(lines[5], 6, b"")] + lines[6:],
     "bad_h_second_chunk": lambda lines: lines[:SECOND_CHUNK] + [set_cell(lines[SECOND_CHUNK], 4, b"0")] + lines[SECOND_CHUNK + 1:],
     "out_of_order_k": lambda lines: lines[:5] + [lines[6], lines[5]] + lines[7:],
     "missing_row": lambda lines: lines[:SECOND_CHUNK] + lines[SECOND_CHUNK + 1:],

@@ -22,7 +22,6 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import compress
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -33,9 +32,9 @@ from .codec import (
     CodecParams,
     Symbol,
     Trace,
-    _decode,
     codec_from_dict,
     codec_to_dict,
+    decode_bitstream,
 )
 from .errors import FormatError, ParameterError
 from .signals import _check_real
@@ -102,17 +101,18 @@ def transmit(bits: Sequence[Symbol], model: ChannelModel) -> ReceivedStream:
 def decode_with_erasures(params: CodecParams, received: ReceivedStream) -> Trace:
     """Decode a stream with erasures by substituting the previous symbol.
 
-    Every erased position repeats the last seen symbol (+1 before step 0)
-    and the shared recursion continues; substituted steps are marked on
-    their records. On an erasure-free stream this is exactly
-    :func:`admtrack.codec.decode_bitstream`.
+    Every erased position repeats the last seen symbol (+1 before step 0),
+    :func:`admtrack.codec.decode_bitstream` decodes the held symbols, and the
+    substituted steps are marked on the trace. On an erasure-free stream this
+    is exactly that decode.
     """
+    erased = received.erased_positions() if None in received.symbols else []
     held = list(received.symbols)
-    substituted = [symbol is None for symbol in held]
-    # in step order, so held[k - 1] is already the last seen symbol
-    for k in compress(range(len(held)), substituted):
+    for k in erased:  # in step order, so held[k - 1] is already the last seen symbol
         held[k] = held[k - 1] if k else PLUS
-    return _decode(params, held, substituted)
+    trace = decode_bitstream(params, held)
+    trace.substituted[erased] = True  # a fresh column of the fresh trace
+    return trace
 
 
 @contextmanager

@@ -485,7 +485,7 @@ def reconstruct(record: StepRecord, t: float, delta: float) -> float:
 _POWER_STEP = np.array([1, 0, -1, -1], dtype=np.int8)
 
 
-def _scan(params: CodecParams, bits: list, substituted=None, x=None) -> Optional[Trace]:
+def _scan(params: CodecParams, bits: list, x=None) -> Optional[Trace]:
     """The :func:`_step` loop's decode trace of ``bits``, bit for bit, from
     numpy scans, with ``x`` (None or a float64 array) as its samples; None
     where the loop might raise or the scan cannot vouch."""
@@ -528,15 +528,14 @@ def _scan(params: CodecParams, bits: list, substituted=None, x=None) -> Optional
     if not math.isfinite(y[-1]):  # a non-finite estimate stays non-finite
         return None
     return Trace.from_columns(params, x=x, y=y, h=h, m=np.array(table)[power],
-                              in_switch=switch, substituted=substituted)
+                              in_switch=switch, substituted=None)
 
 
-def _run_stream(params: CodecParams, xs: Iterable, hs: Iterable, substituted=None) -> Trace:
+def _run_stream(params: CodecParams, xs: Iterable, hs: Iterable) -> Trace:
     """Run :func:`_step` over a whole stream and collect the trace columns.
 
     Encoding passes the (checked) samples as ``xs`` and None for every
-    ``hs``; decoding the reverse. The stream ends with the shorter of the
-    two. ``substituted`` is the column of the same name (default all False).
+    ``hs``; decoding the reverse. The stream ends with the shorter of the two.
     """
     x_col, y_col, h_col, m_col = [], [], [], []
     # bound once: the loop runs once per step
@@ -554,7 +553,7 @@ def _run_stream(params: CodecParams, xs: Iterable, hs: Iterable, substituted=Non
     return Trace.from_columns(
         params, x=np.array(x_col, dtype=float) if None not in x_col[:1] else None,
         y=np.array(y_col, dtype=float), h=h, m=np.array(m_col, dtype=float),
-        in_switch=_switches(h), substituted=substituted,
+        in_switch=_switches(h), substituted=None,
     )
 
 
@@ -661,11 +660,11 @@ def encode_signal(params: CodecParams, samples) -> tuple[list[Symbol], Trace]:
     return trace.bits(), trace
 
 
-def _decode(params: CodecParams, bits: list, substituted=None) -> Trace:
+def _decode(params: CodecParams, bits: list) -> Trace:
     """The decode trace of ``bits``: :func:`_scan`, or the :func:`_step` loop
     where the scan declines."""
-    trace = _scan(params, bits, substituted)
-    return _run_stream(params, repeat(None), bits, substituted) if trace is None else trace
+    trace = _scan(params, bits)
+    return _run_stream(params, repeat(None), bits) if trace is None else trace
 
 
 def decode_bitstream(params: CodecParams, bits) -> Trace:

@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admtrack import (
     CodecParams,
@@ -14,6 +16,7 @@ from admtrack import (
     Noiseless,
     ParameterError,
     ReceivedStream,
+    Trace,
     decode_bitstream,
     decode_with_erasures,
     encode_signal,
@@ -93,6 +96,24 @@ class TestDecodeWithErasures:
         assert held.records[5].y != plain.records[5].y
         divergence = max(abs(a.y - b.y) for a, b in zip(held.records, plain.records))
         assert divergence > 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(params=st.builds(
+        CodecParams, y0=st.floats(-100.0, 100.0), m0=st.floats(1e-3, 10.0),
+        mbar=st.sampled_from([0.0, 1e-3, 0.5, 5.0]), a=st.floats(1.01, 2.0), delta=st.floats(1e-3, 1.0)),
+        stream=st.lists(st.tuples(st.sampled_from([1, -1]), st.booleans()), max_size=200),
+        jayant=st.booleans())
+    def test_erasure_decode_is_the_plain_decode_of_the_held_symbols(self, params, stream, jayant):
+        if jayant:
+            params = params.with_rule("jayant")
+        received = ReceivedStream(tuple(None if erased else symbol for symbol, erased in stream))
+        held = []
+        for symbol, erased in stream:  # the last seen symbol, +1 before step 0
+            held.append((held[-1] if held else 1) if erased else symbol)
+        got = decode_with_erasures(params, received)
+        columns = {name: getattr(got, name) for name in Trace.COLUMNS}
+        assert Trace.from_columns(params, **{**columns, "substituted": None}) == decode_bitstream(params, held)
+        assert np.flatnonzero(got.substituted).tolist() == received.erased_positions()
 
     def test_erasure_at_step0_holds_plus_one(self, hand_params):
         held = decode_with_erasures(hand_params, ReceivedStream(symbols=(None,)))

@@ -396,16 +396,18 @@ class TestRunSimulation:
             r.__class__(**{**r.__dict__, "x": None}) for r in encoded.records
         )
 
+    @staticmethod
+    def off_by_one_ulp(params, received):
+        """``decode_with_erasures`` with the estimate at step 7 one ulp high."""
+        trace = decode_with_erasures(params, received)
+        y = trace.y.copy()
+        y[7] = math.nextafter(y[7], math.inf)
+        return Trace.from_columns(params, x=None, y=y, h=trace.h, m=trace.m,
+                                  in_switch=trace.in_switch, substituted=trace.substituted)
+
     def test_decoder_mirrors_encoder_over_noiseless(self, monkeypatch, tmp_path, capsys):
         # a decoder one ulp off the encoder at one step is caught, not verified
-        def off_by_one_ulp(params, received):
-            trace = decode_with_erasures(params, received)
-            y = trace.y.copy()
-            y[7] = math.nextafter(y[7], math.inf)
-            return Trace.from_columns(params, x=None, y=y, h=trace.h, m=trace.m,
-                                      in_switch=trace.in_switch, substituted=trace.substituted)
-
-        monkeypatch.setattr(harness, "decode_with_erasures", off_by_one_ulp)
+        monkeypatch.setattr(harness, "decode_with_erasures", self.off_by_one_ulp)
         with pytest.raises(NumericError, match=r"at step 7, column y: decoder 4\.\d+, encoder 4\.\d+$"):
             run_simulation(jump_config())
         assert _run_in(tmp_path, "paper_delta004.json", "simulate") == 2
@@ -430,6 +432,14 @@ class TestRunSimulation:
         monkeypatch.setattr(harness, "decode_with_erasures", tampered)
         config = jump_config(signal=Constant(0.0), codec=replace(PAPER_CODEC, y0=0.0))  # y is 0.0 on even steps
         with pytest.raises(NumericError, match=f"at step 20, column {column}: "):
+            run_simulation(config)
+
+    def test_erasure_run_that_held_no_symbol_is_compared(self, monkeypatch):
+        # the mirror is checked whenever no symbol was substituted, whatever the channel
+        config = jump_config(channel=Erasure(p=1e-9, seed=0))
+        assert run_simulation(config).decoder_trace.substituted.sum() == 0
+        monkeypatch.setattr(harness, "decode_with_erasures", self.off_by_one_ulp)
+        with pytest.raises(NumericError, match=r"at step 7, column y: decoder 4\.\d+, encoder 4\.\d+$"):
             run_simulation(config)
 
     def test_erasure_runs_are_not_compared(self):

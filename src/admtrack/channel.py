@@ -164,7 +164,7 @@ def read_bitstream(path) -> tuple[CodecParams, list[Symbol]]:
     required = {"y0", "M0", "Mbar", "a", "delta", "rule", "count"}
     if not isinstance(header, dict) or not required <= set(header):
         raise FormatError(f"{path}: line 2: header must carry keys {sorted(required)}")
-    count = header["count"]
+    count = header.pop("count")  # the codec parameters are the other keys
     if isinstance(count, bool) or not isinstance(count, int) or count < 0:
         raise FormatError(f"{path}: line 2: count must be a non-negative integer, got {count!r}")
     try:

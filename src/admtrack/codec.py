@@ -184,14 +184,19 @@ def _field_plan(cls) -> tuple:
                   _READERS.get(getattr(f.type, "__name__", f.type))) for f in fields(cls) if f.init)
 
 
-def read_section(cls, data, what: str, keys=None, **given):
+def read_section(cls, data, what: str, keys=None, elsewhere=(), **given):
     """The dataclass ``cls`` from the JSON object ``data``, the section ``what``
     of a document. Each init field not in ``given`` is read from its key
     (``keys`` renames some) by its type's reader, or taken as it is; an absent
-    key takes the field's default. Every fault is a FormatError naming ``what``."""
+    key takes the field's default. A key that names no field and is not one of
+    ``elsewhere`` (read by the caller) is refused. Every fault is a FormatError naming ``what``."""
     if not isinstance(data, dict):
         raise FormatError(f"{what} must be a JSON object, got {type(data).__name__}")
-    for name, required, read in _field_plan(cls):
+    plan = _field_plan(cls)
+    known = {keys.get(name, name) if keys else name for name, _, _ in plan}.union(elsewhere)
+    for key in [key for key in data if key not in known][:1]:
+        raise FormatError(f"{what}: unknown key {key!r}")
+    for name, required, read in plan:
         if name in given:
             continue
         key = keys.get(name, name) if keys else name

@@ -188,12 +188,12 @@ def _kind(table: dict, data, what: str) -> type:
 def signal_from_dict(data: dict) -> SignalSpec:
     cls = _kind(_SIGNALS, data, "signal")
     if cls is not Piecewise:
-        return read_section(cls, data, "signal")
+        return read_section(cls, data, "signal", elsewhere=("kind",))
     segments = data.get("segments", [])
     if not isinstance(segments, list):
         raise FormatError(f"signal segments must be a JSON list, got {type(segments).__name__}")
     segments = [read_section(_Segment, segment, "segment") for segment in segments]
-    return read_section(Piecewise, data, "signal", segments=tuple(
+    return read_section(Piecewise, data, "signal", elsewhere=("kind",), segments=tuple(
         (segment.start, signal_from_dict(segment.signal)) for segment in segments))
 
 
@@ -202,7 +202,7 @@ def channel_to_dict(model: ChannelModel) -> dict:
 
 
 def channel_from_dict(data: dict) -> ChannelModel:
-    return read_section(_kind(_CHANNELS, data, "channel"), data, "channel")
+    return read_section(_kind(_CHANNELS, data, "channel"), data, "channel", elsewhere=("kind",))
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:

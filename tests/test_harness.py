@@ -39,6 +39,7 @@ from admtrack import (
     encode_signal,
     estimate_variation_bound,
     load_config,
+    read_bitstream,
     read_trace_csv,
     recovery_steps,
     run_compare,
@@ -137,6 +138,52 @@ def test_absent_keys_take_the_dataclass_defaults():
 def test_missing_key_error_names_section_and_key(key, value, message):
     with pytest.raises(FormatError, match=f"^{message}$"):
         config_from_dict({**MINIMAL_CONFIG, key: value})
+
+
+# erasure_jump.json with a growth and a comparison section: every section a config can hold
+FULL_CONFIG = {**json.loads((CONFIGS / "erasure_jump.json").read_text()),
+               "growth": {"scale": 8.0, "exponent": 1.0}, "comparison": {"baseline": "jayant"}}
+
+
+@pytest.mark.parametrize("section, where, key, value", [
+    ("config", (), "oversample_factr", 8),
+    ("codec parameters", ("codec",), "rul", "jayant"),
+    ("signal", ("signal", "segments", 0, "signal"), "levl", 3.0),
+    ("segment", ("signal", "segments", 1), "strat", 2.0),
+    ("channel", ("channel",), "sead", 99),
+    ("growth", ("growth",), "exponnt", 2.0),
+    ("comparison", ("comparison",), "proximity_band", 2.0),
+    ("outputs", ("outputs",), "trace", "t.csv"),
+    ("codec parameters", None, "cont", 1),  # the ODM/1 header
+], ids=["config", "codec", "signal", "segment", "channel", "growth", "comparison", "outputs", "odm_header"])
+def test_key_that_names_no_field_is_refused(tmp_path, section, where, key, value):
+    assert config_from_dict(FULL_CONFIG).channel == Erasure(p=0.08, seed=7)  # kind and count are read elsewhere
+    if where is None:
+        path = tmp_path / "extra_key.odm"
+        path.write_text(f"ODM/1\n{json.dumps({**json.loads(HEADER), 'count': 1, key: value})}\n1\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: line 2: {section}: unknown key {key!r}$"):
+            read_bitstream(path)
+        return
+    document = copy.deepcopy(FULL_CONFIG)
+    functools.reduce(lambda section, step: section[step], where, document)[key] = value
+    with pytest.raises(FormatError, match=f"^{section}: unknown key {key!r}$"):
+        config_from_dict(document)
+
+
+@pytest.mark.parametrize("where, key, value, message", [
+    ("channel", "sead", 99, "channel: unknown key 'sead'"),
+    (None, "oversample_factr", 8, "config: unknown key 'oversample_factr'"),
+    ("codec", "rul", "jayant", "codec parameters: unknown key 'rul'"),
+], ids=["channel_seed", "oversample_factor", "codec_rule"])
+def test_misspelt_config_key_exits_2(tmp_path, capsys, where, key, value, message):
+    # each ran on the default of the key it meant, and exited 0
+    document = json.loads((CONFIGS / "erasure_jump.json").read_text(encoding="utf-8"))
+    (document[where] if where else document)[key] = value
+    path = tmp_path / "misspelt.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 CODEC_NUMBERS = st.floats(allow_nan=False, allow_infinity=False)

@@ -310,8 +310,9 @@ class Trace:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Trace):
             return NotImplemented
-        return self.params == other.params and all(  # array_equal(None, None) holds
-            np.array_equal(getattr(self, name), getattr(other, name)) for name in self.COLUMNS)
+        pairs = [(getattr(self, name), getattr(other, name)) for name in self.COLUMNS]
+        return self.params == other.params and len(self) == len(other) and all(  # an x of None is only None
+            a is b or a is not None and b is not None and not _differs(a, b).any() for a, b in pairs)
 
     def __repr__(self) -> str:
         return f"Trace(params={self.params!r}, steps={len(self)})"
@@ -321,6 +322,12 @@ class Trace:
 
     def switch_indices(self) -> list[int]:
         return np.flatnonzero(self.in_switch).tolist()
+
+
+def _differs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Where the equal-length columns ``a`` and ``b`` hold different bit patterns:
+    -0.0 differs from 0.0, though they compare equal."""
+    return a.view(f"i{a.itemsize}") != b.view(f"i{b.itemsize}")
 
 
 def _exact(name: str, values, dtype) -> np.ndarray:
@@ -681,8 +688,8 @@ def check_trace(trace: Trace) -> list[tuple[int, str]]:
     """Re-derive the whole trace from its bits and report any mismatch.
 
     Used to vet untrusted (possibly tampered) trace files: every y, m and
-    switch flag must match the shared recursion exactly, and where
-    samples are present the symbol must match the comparison rule. The
+    switch flag must match the shared recursion bit for bit (-0.0 is not 0.0),
+    and where samples are present the symbol must match the comparison rule. The
     columns are compared whole; a row pass over the flagged steps names the
     problems in row order. A non-finite sample raises NumericError.
     """
@@ -692,16 +699,16 @@ def check_trace(trace: Trace) -> list[tuple[int, str]]:
         for k in np.flatnonzero(~np.isfinite(trace.x))[:1].tolist():
             symbol_for_sample(want.y[k].item(), trace.x[k].item(), PLUS)  # raises its NumericError
         symbol = _off_rule(want.y, trace.x, trace.h)
-    flagged = symbol | (trace.y != want.y) | (trace.m != want.m) | (trace.in_switch != want.in_switch)
+    y_off, m_off, switch_off = (_differs(getattr(trace, name), getattr(want, name)) for name in ("y", "m", "in_switch"))
     problems: list[tuple[int, str]] = []
     rows = (trace.y, trace.m, trace.in_switch, want.y, want.m, want.in_switch)
-    for k in np.flatnonzero(flagged).tolist():
+    for k in np.flatnonzero(symbol | y_off | m_off | switch_off).tolist():
         y, m, in_switch, y_k, m_k, switch_k = (column[k].item() for column in rows)
-        if y != y_k:
+        if y_off[k]:
             problems.append((k, f"y={y!r} != recursion value {y_k!r}"))
-        if m != m_k:
+        if m_off[k]:
             problems.append((k, f"m={m!r} != recursion value {m_k!r}"))
-        if in_switch != switch_k:
+        if switch_off[k]:
             problems.append((k, f"in_switch={in_switch} != {switch_k}"))
         if symbol[k]:
             problems.append((k, "symbol disagrees with the comparison rule"))

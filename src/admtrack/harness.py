@@ -41,6 +41,7 @@ from .codec import (
     AdaptationRule,
     CodecParams,
     Trace,
+    _differs,
     _exact,
     codec_from_dict,
     codec_to_dict,
@@ -250,7 +251,7 @@ def _check_mirror(sent: Trace, received: Trace) -> None:
     """Raise a NumericError at the first step and column where ``received`` is not ``sent`` bit for bit."""
     names = ("y", "h", "m", "in_switch")
     pairs = [(getattr(sent, name), getattr(received, name)) for name in names]
-    differs = np.array([a.view(f"i{a.itemsize}") != b.view(f"i{b.itemsize}") for a, b in pairs])  # -0.0 is not 0.0
+    differs = np.array([_differs(a, b) for a, b in pairs])  # -0.0 is not 0.0
     for k in np.flatnonzero(differs.any(axis=0))[:1].tolist():
         i = int(differs[:, k].argmax())
         raise NumericError(f"decoder trace differs from the encoder's at step {k}, column {names[i]}: "

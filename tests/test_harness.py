@@ -722,6 +722,31 @@ class TestCliVerify:
             {"claim": "trace_consistency", "step": 199, "detail": consistency}
         ]
 
+    def test_signed_zero_estimate_is_a_consistency_violation(self, tmp_path, capsys):
+        # -0.0 == 0.0, so a value comparison passed this edit
+        document = json.loads((CONFIGS / "sine_steady.json").read_text(encoding="utf-8"))
+        document["codec"]["y0"] = 0.0
+        config_path = tmp_path / "zero_start.json"
+        config_path.write_text(json.dumps(document), encoding="utf-8")
+        verify = ["verify", "--config", str(config_path), "--trace", str(tmp_path / "sine_trace.csv"),
+                  "--out", str(tmp_path / "out")]
+        assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path)]) == 0
+        assert main(verify) == 0
+        trace_path = tmp_path / "sine_trace.csv"
+        rows = trace_path.read_text().splitlines()
+        cells = rows[1].split(",")
+        assert cells[3] == "0.0"
+        cells[3] = "-0.0"  # step 0, row 2
+        rows[1] = ",".join(cells)
+        trace_path.write_text("\r\n".join(rows) + "\r\n", newline="")
+        capsys.readouterr()
+        assert main(verify) == 1
+        report = json.loads((tmp_path / "out" / "sine_report.json").read_text())
+        assert report["trace_consistency"] == [
+            {"claim": "trace_consistency", "step": 0, "detail": "y=-0.0 != recursion value 0.0"}
+        ]
+        assert "violation: trace_consistency at step 0: y=-0.0 != recursion value 0.0" in capsys.readouterr().out
+
     def _verify_edited_cell(self, tmp_path, row, column, text):
         assert _run_in(tmp_path, "sine_steady.json", "simulate") == 0
         trace_path = tmp_path / "sine_trace.csv"

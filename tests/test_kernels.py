@@ -17,6 +17,7 @@ import csv
 import math
 import os
 import random
+import struct
 import tempfile
 import warnings
 from bisect import bisect_right
@@ -691,14 +692,19 @@ def oracle_decode_with_erasures(params, symbols):
     return records
 
 
+def float_bits(value):
+    """The IEEE-754 bit pattern of a float: -0.0 and 0.0 differ."""
+    return struct.pack("<d", value)
+
+
 def oracle_check_trace(params, records):
     problems = []
     rederived = oracle_decode_bitstream(params, [r.h for r in records])
     h_prev = PLUS
     for k, (got, want) in enumerate(zip(records, rederived)):
-        if got.y != want.y:
+        if float_bits(got.y) != float_bits(want.y):
             problems.append((k, f"y={got.y!r} != recursion value {want.y!r}"))
-        if got.m != want.m:
+        if float_bits(got.m) != float_bits(want.m):
             problems.append((k, f"m={got.m!r} != recursion value {want.m!r}"))
         if got.in_switch != want.in_switch:
             problems.append((k, f"in_switch={got.in_switch} != {want.in_switch}"))
@@ -980,6 +986,17 @@ def test_check_trace_reports_every_problem_in_row_order(hand_params, hand_sample
     problems = check_trace(Trace(params=hand_params, records=records))
     assert problems == oracle_check_trace(hand_params, records)
     assert [k for k, _ in problems] == [2, 2, 2, 7, 7]
+
+
+def test_check_trace_compares_bit_patterns_like_oracle(hand_params):
+    # y0 = 0.0 is step 0's estimate; -0.0 compares equal to it but is not the recursion's value
+    trace = decode_bitstream(hand_params, [1, -1, 1, 1, -1, -1])
+    assert trace.y[0] == 0.0 and not math.copysign(1.0, trace.y[0]) < 0
+    records = list(trace.records)
+    records[0] = replace(records[0], y=-0.0)
+    signed = Trace(params=hand_params, records=records)
+    assert check_trace(signed) == oracle_check_trace(hand_params, records) == [(0, "y=-0.0 != recursion value 0.0")]
+    assert signed != trace and Trace(params=hand_params, records=trace.records) == trace
 
 
 def test_check_trace_rejects_a_bad_symbol_like_oracle(hand_params, hand_samples):

@@ -325,8 +325,7 @@ class Trace:
 
 
 def _differs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Where the equal-length columns ``a`` and ``b`` hold different bit patterns:
-    -0.0 differs from 0.0, though they compare equal."""
+    """Where the equal-length columns ``a`` and ``b`` differ bit for bit: -0.0 is not 0.0."""
     return a.view(f"i{a.itemsize}") != b.view(f"i{b.itemsize}")
 
 

@@ -192,14 +192,14 @@ def read_section(cls, data, what: str, keys=None, elsewhere=(), **given):
     ``elsewhere`` (read by the caller) is refused. Every fault is a FormatError naming ``what``."""
     if not isinstance(data, dict):
         raise FormatError(f"{what} must be a JSON object, got {type(data).__name__}")
-    plan = _field_plan(cls)
-    known = {keys.get(name, name) if keys else name for name, _, _ in plan}.union(elsewhere)
+    plan = [(name, keys.get(name, name) if keys else name, required, read)
+            for name, required, read in _field_plan(cls)]
+    known = {key for _, key, _, _ in plan}.union(elsewhere)
     for key in [key for key in data if key not in known][:1]:
         raise FormatError(f"{what}: unknown key {key!r}")
-    for name, required, read in plan:
+    for name, key, required, read in plan:
         if name in given:
             continue
-        key = keys.get(name, name) if keys else name
         if key in data:
             given[name] = read(data[key], f"{what} {key}") if read else data[key]
         elif required:
@@ -671,16 +671,12 @@ def encode_signal(params: CodecParams, samples) -> tuple[list[Symbol], Trace]:
     return trace.bits(), trace
 
 
-def _decode(params: CodecParams, bits: list) -> Trace:
-    """The decode trace of ``bits``: :func:`_scan`, or the :func:`_step` loop
-    where the scan declines."""
+def decode_bitstream(params: CodecParams, bits) -> Trace:
+    """Mirror of :func:`encode_signal`: same recursion driven by the bits, by
+    :func:`_scan`, or by the :func:`_step` loop where the scan declines."""
+    bits = list(bits)
     trace = _scan(params, bits)
     return _run_stream(params, repeat(None), bits) if trace is None else trace
-
-
-def decode_bitstream(params: CodecParams, bits) -> Trace:
-    """Mirror of :func:`encode_signal`: same recursion driven by the bits."""
-    return _decode(params, list(bits))
 
 
 def check_trace(trace: Trace) -> list[tuple[int, str]]:
@@ -692,7 +688,7 @@ def check_trace(trace: Trace) -> list[tuple[int, str]]:
     columns are compared whole; a row pass over the flagged steps names the
     problems in row order. A non-finite sample raises NumericError.
     """
-    want = _decode(trace.params, trace.bits())
+    want = decode_bitstream(trace.params, trace.bits())
     symbol = np.zeros(len(trace), bool)
     if trace.x is not None:
         for k in np.flatnonzero(~np.isfinite(trace.x))[:1].tolist():

@@ -131,13 +131,13 @@ class CodecParams:
         return replace(self, rule=rule, mbar=mbar)
 
 
-# config files and ODM/1 headers name two fields otherwise
-_CODEC_KEYS = {"m0": "M0", "mbar": "Mbar"}
+# config files and ODM/1 headers name two fields otherwise: (field, key) pairs
+_CODEC_KEYS = (("m0", "M0"), ("mbar", "Mbar"))
 
 
 def codec_to_dict(params: CodecParams) -> dict:
     """The parameters under the key names of config files and ODM/1 headers."""
-    document = {_CODEC_KEYS.get(f.name, f.name): getattr(params, f.name) for f in fields(params)}
+    document = {key: getattr(params, name) for name, key, _, _ in _field_plan(CodecParams, _CODEC_KEYS)[0]}
     return {**document, "rule": params.rule.value}
 
 
@@ -178,13 +178,16 @@ _READERS = {"float": _number, "int": _integer, "str": _string}
 
 
 @functools.cache
-def _field_plan(cls) -> tuple:
-    """(name, required, reader or None) of each init field of the dataclass ``cls``."""
-    return tuple((f.name, f.default is MISSING and f.default_factory is MISSING,
+def _field_plan(cls, keys=(), elsewhere=()) -> tuple:
+    """(name, key, required, reader or None) of each init field of the dataclass ``cls``, the
+    (field, key) pairs ``keys`` renaming some; and the keys a section may hold: those and ``elsewhere``."""
+    renames = dict(keys)
+    plan = tuple((f.name, renames.get(f.name, f.name), f.default is MISSING and f.default_factory is MISSING,
                   _READERS.get(getattr(f.type, "__name__", f.type))) for f in fields(cls) if f.init)
+    return plan, frozenset(key for _, key, _, _ in plan).union(elsewhere)
 
 
-def read_section(cls, data, what: str, keys=None, elsewhere=(), **given):
+def read_section(cls, data, what: str, keys=(), elsewhere=(), **given):
     """The dataclass ``cls`` from the JSON object ``data``, the section ``what``
     of a document. Each init field not in ``given`` is read from its key
     (``keys`` renames some) by its type's reader, or taken as it is; an absent
@@ -192,11 +195,9 @@ def read_section(cls, data, what: str, keys=None, elsewhere=(), **given):
     ``elsewhere`` (read by the caller) is refused. Every fault is a FormatError naming ``what``."""
     if not isinstance(data, dict):
         raise FormatError(f"{what} must be a JSON object, got {type(data).__name__}")
-    plan = [(name, keys.get(name, name) if keys else name, required, read)
-            for name, required, read in _field_plan(cls)]
-    known = {key for _, key, _, _ in plan}.union(elsewhere)
-    for key in [key for key in data if key not in known][:1]:
-        raise FormatError(f"{what}: unknown key {key!r}")
+    plan, known = _field_plan(cls, keys, elsewhere)
+    if not known.issuperset(data):
+        raise FormatError(f"{what}: unknown key {next(key for key in data if key not in known)!r}")
     for name, key, required, read in plan:
         if name in given:
             continue

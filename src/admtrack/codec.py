@@ -270,7 +270,7 @@ class Trace:
         off = (_exact("k", k, np.int64) != grid) | (_exact("t", t, np.float64) != grid * params.delta)
         for i in np.flatnonzero(off)[:1].tolist():
             raise ParameterError(f"record {i} is off the grid: k={k[i]!r}, t={t[i]!r}, not {i}, {i * params.delta!r}")
-        self._records: Optional[tuple[StepRecord, ...]] = records
+        self.records = records  # seeds the cached view: the tuple given
 
     @classmethod
     def from_columns(cls, params: CodecParams, **columns) -> "Trace":
@@ -283,7 +283,7 @@ class Trace:
     def _fill(self, params: CodecParams, columns: dict) -> None:
         if set(columns) != set(self.COLUMNS):
             raise ParameterError(f"trace columns must be exactly {self.COLUMNS}")
-        self.params, self._records = params, None
+        self.params = params
         x, substituted = columns.pop("x"), columns.pop("substituted")
         for name, values in columns.items():
             setattr(self, name, _exact(name, values, self._DTYPES.get(name, np.float64)))
@@ -297,13 +297,11 @@ class Trace:
         """``x`` as Python floats, or None at every step of a trace without samples."""
         return [None] * len(self) if self.x is None else self.x.tolist()
 
-    @property
+    @functools.cached_property
     def records(self) -> tuple[StepRecord, ...]:
-        if self._records is None:
-            k = np.arange(len(self))
-            columns = [self.x_list() if name == "x" else getattr(self, name).tolist() for name in self.COLUMNS]
-            self._records = tuple(map(StepRecord, k.tolist(), (k * self.params.delta).tolist(), *columns))
-        return self._records
+        k = np.arange(len(self))
+        columns = [self.x_list() if name == "x" else getattr(self, name).tolist() for name in self.COLUMNS]
+        return tuple(map(StepRecord, k.tolist(), (k * self.params.delta).tolist(), *columns))
 
     def __len__(self) -> int:
         return len(self.y)
@@ -583,26 +581,13 @@ def _off_rule(y: np.ndarray, x: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.where(y < x, PLUS, np.where(y > x, MINUS, -h_prev)) != h
 
 
-class _Slopes(dict):
-    """The modified rule's slopes by power, off the floor or on it, each
-    computed on first use. A slope outside (0, inf) is :func:`_scan`'s to
-    decline on; an overflowing ``a**p`` raises NumericError here."""
-
-    def __init__(self, params: CodecParams, floored: bool) -> None:
-        super().__init__()
-        self.params, self.floored = params, floored
-
-    def __missing__(self, power: int) -> float:
-        m = self[power] = _slope_value(self.params, power, self.floored)
-        return m
-
-
 def _symbols(params: CodecParams, values) -> list[Symbol]:
     """The modified rule's symbols for finite float samples, from the
     comparisons alone: no check, record or call per step. The caller
     confirms every symbol, so a fault here can only cost time."""
     delta, mbar = params.delta, params.mbar
-    free, floor = _Slopes(params, False), _Slopes(params, True)
+    # the slopes by power, off the floor or on it, each computed on first use
+    free, floor = (functools.cache(functools.partial(_slope_value, params, floored=f)) for f in (False, True))
     y, m = params.y0, params.m0
     h = 1 if y < values[0] else -1  # step 0: a tie flips the +1 before it
     move = h * m * delta  # the estimate's next move, as the loop rounds it
@@ -617,18 +602,18 @@ def _symbols(params: CodecParams, values) -> list[Symbol]:
             if floored:
                 if power:
                     power -= 1
-                    m = floor[power]
-            elif free[power - 1] > mbar:
+                    m = floor(power)
+            elif free(power - 1) > mbar:
                 power -= 1
-                m = free[power]
+                m = free(power)
             else:
-                power, floored, m = 0, True, floor[0]
+                power, floored, m = 0, True, floor(0)
             move = s * m * delta
         elif held:
             held = False
         else:
             power += 1
-            m = floor[power] if floored else free[power]
+            m = floor(power) if floored else free(power)
             move = s * m * delta
         add(s)
     return bits

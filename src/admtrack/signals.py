@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional, Union
 
 import numpy as np
@@ -145,7 +145,6 @@ class Piecewise(_Signal):
     """Segments of (start_time, signal); each runs on its own local clock."""
 
     segments: tuple[tuple[float, "SignalSpec"], ...]
-    _starts: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for s, _ in self.segments:
@@ -159,10 +158,9 @@ class Piecewise(_Signal):
         starts = tuple(s for s, _ in segs)
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ParameterError(f"segment start times must strictly increase: {list(starts)}")
-        object.__setattr__(self, "_starts", starts)
 
     def at_array(self, t: np.ndarray) -> np.ndarray:
-        index = np.maximum(np.searchsorted(self._starts, t, side="right") - 1, 0)
+        index = np.maximum(np.searchsorted([s for s, _ in self.segments], t, side="right") - 1, 0)
         out = np.empty_like(t)
         for i, (start, spec) in enumerate(self.segments):
             mask = index == i

@@ -221,7 +221,8 @@ def verify_theorem(
     rate = variation.rate
     xs = x_samples.values
     sample_bound, interval_bound = steady_error_bounds(params, rate)
-    switches = [k for k in trace.switch_indices() if k > start_index]
+    switches = np.flatnonzero(trace.in_switch)
+    switches = switches[switches > start_index]  # the steps of the suffix's switches, past its first
     report = TheoremReport(
         sample_error_bound=sample_bound,
         interval_error_bound=interval_bound,
@@ -229,7 +230,7 @@ def verify_theorem(
         oversample_factor=oversample_factor,
         start_index=start_index,
         n_steps=n,
-        tau=switches[0] if switches else None,
+        tau=switches[0].item() if len(switches) else None,
     )
 
     _check_acquisition(report, trace, xs, growth)
@@ -332,12 +333,12 @@ def _check_steady(report, trace, xs, spec, switches, factor) -> None:
         _check_interval_error(report, trace, spec, params.delta, factor)
 
     report.checked.append("switch_gap")
-    post = [k for k in switches if k >= eta]
+    post = switches[switches >= eta]
     for i in np.flatnonzero(np.diff(post) > 3).tolist():
-        s, nxt = post[i], post[i + 1]
+        s, nxt = post[i].item(), post[i + 1].item()
         report.violations.append(Violation("switch_gap", s, f"next switch only at {nxt} (> {s} + 3)"))
-    if post and post[-1] + 3 <= n - 1:
-        s = post[-1]
+    if len(post) and post[-1] + 3 <= n - 1:
+        s = post[-1].item()
         report.violations.append(Violation("switch_gap", s, f"no further switch in ({s}, {s + 3}]"))
 
     report.checked.append("symbol_run")

@@ -106,10 +106,12 @@ def decode_with_erasures(params: CodecParams, received: ReceivedStream) -> Trace
     substituted steps are marked on the trace. On an erasure-free stream this
     is exactly that decode.
     """
-    erased = received.erased_positions() if None in received.symbols else []
-    held = list(received.symbols)
-    for k in erased:  # in step order, so held[k - 1] is already the last seen symbol
-        held[k] = held[k - 1] if k else PLUS
+    held = received.symbols
+    erased = received.erased_positions() if None in held else []
+    if erased:  # a copy only to substitute in
+        held = list(held)
+        for k in erased:  # in step order, so held[k - 1] is already the last seen symbol
+            held[k] = held[k - 1] if k else PLUS
     trace = decode_bitstream(params, held)
     trace.substituted[erased] = True  # a fresh column of the fresh trace
     return trace

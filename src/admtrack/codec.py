@@ -495,7 +495,7 @@ def reconstruct(record: StepRecord, t: float, delta: float) -> float:
 _POWER_STEP = np.array([1, 0, -1, -1], dtype=np.int8)
 
 
-def _scan(params: CodecParams, bits: list, x=None) -> Optional[Trace]:
+def _scan(params: CodecParams, bits, x=None) -> Optional[Trace]:
     """The :func:`_step` loop's decode trace of ``bits``, bit for bit, from
     numpy scans, with ``x`` (None or a float64 array) as its samples; None
     where the loop might raise or the scan cannot vouch."""
@@ -659,8 +659,9 @@ def encode_signal(params: CodecParams, samples) -> tuple[list[Symbol], Trace]:
 
 def decode_bitstream(params: CodecParams, bits) -> Trace:
     """Mirror of :func:`encode_signal`: same recursion driven by the bits, by
-    :func:`_scan`, or by the :func:`_step` loop where the scan declines."""
-    bits = list(bits)
+    :func:`_scan`, or by the :func:`_step` loop where the scan declines. Both
+    only read ``bits``, so a list or tuple is kept as given."""
+    bits = bits if isinstance(bits, (list, tuple)) else list(bits)
     trace = _scan(params, bits)
     return _run_stream(params, repeat(None), bits) if trace is None else trace
 

@@ -383,31 +383,43 @@ def _float_text(column: np.ndarray) -> list:
     return list(map(repr, column.tolist()))
 
 
+# one row's cells (every other entry, filled per chunk) and the separators after them
+_ROW = ["", ","] * (len(TRACE_COLUMNS) - 1) + ["", "\r\n"]
+
+
 def write_trace_csv(path, trace: Trace, x_values=None) -> None:
-    """Write the fixed-schema trace CSV; on a trace without samples, ``x_values``
-    (one float per step, else a ParameterError) fills the x cells, or they are empty.
+    """Write the fixed-schema trace CSV; ``x_values`` (one float per step) fills
+    the x cells of a trace without samples, or they are empty. On a trace with
+    samples, ``x_values`` must equal them bit for bit. Anything else is a ParameterError.
 
     Rows end in CRLF; floats are ``repr``, ``in_switch`` 1/0. Each CHUNK_ROWS chunk is
-    one write, and a float column that repeats takes one ``repr`` per value."""
+    one joined write, and a float column that repeats takes one ``repr`` per value."""
     n = len(trace)
     with _replacing(path, encoding="ascii", newline="") as fh:
-        samples = trace.x if trace.x is not None or x_values is None else _exact("x", x_values, np.float64)
-        if samples is not None and len(samples) != n:
-            raise ParameterError(f"x_values holds {len(samples)} samples for {n} steps")
+        samples = trace.x
+        if x_values is not None:
+            given = _exact("x", x_values, np.float64)
+            if len(given) != n:
+                raise ParameterError(f"x_values holds {len(given)} samples for {n} steps")
+            if samples is not None and (off := _differs(given, samples)).any():
+                k = int(off.argmax())
+                raise ParameterError(f"x_values differ from the trace's samples at step {k}: "
+                                     f"{given[k].item()!r} against {samples[k].item()!r}")
+            samples = given
         fh.write(_HEADER_LINE)
+        width = len(_ROW)
         for lo in range(0, n, CHUNK_ROWS):
             rows, hi = slice(lo, lo + CHUNK_ROWS), min(lo + CHUNK_ROWS, n)
-            cells = zip(
-                map(str, range(lo, hi)),
-                map(repr, (np.arange(lo, hi) * trace.params.delta).tolist()),  # grid times seldom repeat: no lookup
-                [""] * (hi - lo) if samples is None else _float_text(samples[rows]),
-                _float_text(trace.y[rows]),
-                map(_INT8_TEXT.__getitem__, trace.h[rows].tolist()),
-                _float_text(trace.m[rows]),
-                map(_INT8_TEXT.__getitem__, trace.in_switch[rows].tolist()),
-            )
-            fh.write("\r\n".join(map(",".join, cells)))
-            fh.write("\r\n")
+            cells = _ROW * (hi - lo)
+            cells[0::width] = map(str, range(lo, hi))
+            cells[2::width] = map(repr, (np.arange(lo, hi) * trace.params.delta).tolist())  # grid times seldom repeat
+            if samples is not None:
+                cells[4::width] = _float_text(samples[rows])
+            cells[6::width] = _float_text(trace.y[rows])
+            cells[8::width] = map(_INT8_TEXT.__getitem__, trace.h[rows].tolist())
+            cells[10::width] = _float_text(trace.m[rows])
+            cells[12::width] = map(_INT8_TEXT.__getitem__, trace.in_switch[rows].tolist())
+            fh.write("".join(cells))
 
 
 def read_trace_csv(path, params: CodecParams) -> Trace:

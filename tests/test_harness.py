@@ -560,6 +560,21 @@ class TestTraceCsv:
         back = read_trace_csv(path, PAPER_CODEC)
         assert back.records == encoded.records
 
+    def test_x_values_must_be_the_samples_of_a_trace_with_samples(self, tmp_path):
+        # refused, not ignored: other values, another length, a zero of the other sign
+        samples = sample(Constant(0.0), PAPER_CODEC.delta, 10 * PAPER_CODEC.delta)
+        _, encoded = encode_signal(PAPER_CODEC, samples)
+        path = tmp_path / "trace.csv"
+        for x_values, message in ((np.ones(10), "differ from the trace's samples at step 0: 1.0 against 0.0"),
+                                  (np.zeros(3), "x_values holds 3 samples for 10 steps"),
+                                  ([0.0] * 9 + [-0.0], "at step 9: -0.0 against 0.0")):
+            with pytest.raises(ParameterError, match=re.escape(message)):
+                write_trace_csv(path, encoded, x_values=x_values)
+        assert os.listdir(tmp_path) == []
+        write_trace_csv(path, encoded, x_values=samples.values.tolist())  # the samples themselves are kept
+        write_trace_csv(tmp_path / "plain.csv", encoded)
+        assert path.read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
     def test_header_schema(self, tmp_path):
         result = run_simulation(jump_config())
         path = tmp_path / "trace.csv"

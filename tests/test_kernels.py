@@ -1496,11 +1496,16 @@ SPECIAL_FLOAT_BITS = float_bits(
          x_values_form="list", seed=2)
 @example(n=LOOKUP_ROWS, pools=[float_bits(0.0, -0.0)] * 4, x_mode="present",
          x_values_form="list", seed=2)
+@example(n=LOOKUP_ROWS - 1, pools=[float_bits(0.0, -0.0)] * 4, x_mode="present",
+         x_values_form=None, seed=2)
+@example(n=LOOKUP_ROWS, pools=[float_bits(0.0, -0.0)] * 4, x_mode="present",
+         x_values_form=None, seed=2)
 def test_trace_csv_writer_matches_oracle_on_any_float_bits(n, pools, x_mode, x_values_form, seed):
     """Any float64 bit patterns in x, y, m and ``x_values``, repeated within
     a chunk and across chunk boundaries, in chunks on either side of
     LOOKUP_ROWS, with x absent or present, write the oracle's bytes and no RuntimeWarning. ``x_values`` are read as
-    float64 samples, so the oracle is given them as Python floats."""
+    float64 samples, so the oracle is given them as Python floats. On a trace with samples, ``x_values`` that
+    differ from them in any bit pattern are refused."""
     rng = np.random.default_rng(seed)
     x, y, m, samples = (np.array(pool, np.int64).view(np.float64)[rng.integers(len(pool), size=n)]
                         for pool in pools)
@@ -1514,6 +1519,10 @@ def test_trace_csv_writer_matches_oracle_on_any_float_bits(n, pools, x_mode, x_v
                 "array": samples}[x_values_form]
     with tempfile.TemporaryDirectory() as tmp:
         new, old = os.path.join(tmp, "new.csv"), os.path.join(tmp, "old.csv")
+        if x_values is not None and x_mode == "present" and (x.view(np.int64) != samples.view(np.int64)).any():
+            with pytest.raises(ParameterError, match="x_values differ from the trace's samples"):
+                write_trace_csv(new, trace, x_values=x_values)
+            return
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             write_trace_csv(new, trace, x_values=x_values)

@@ -13,7 +13,8 @@ channels only) take precedence over config values. --out redirects output
 files into DIR, keeping their configured base names.
 
 Exit codes: 0 success / verified, 1 verification violations, 2 usage, config,
-format, or I/O errors.
+format, or I/O errors. ``verify`` exits 0 on a run that checked no claim too
+(report status ``vacuous``), printing "no claim checked".
 """
 
 from __future__ import annotations
@@ -174,7 +175,8 @@ def cmd_verify(args) -> int:
             print(f"violation: {violation.claim} at step {violation.step}: {violation.detail}")
         print(f"{len(violations)} violation(s) -> {report_path}")
         return 1
-    print(f"all applicable claims hold -> {report_path}")
+    # a run that checked no claim exits 0 too, but does not read as one that held them all
+    print(f"{'no claim checked' if report.status == 'vacuous' else 'all applicable claims hold'} -> {report_path}")
     return 0
 
 

@@ -75,11 +75,17 @@ class TheoremReport:
     def ok(self) -> bool:
         return not self.violations
 
+    @property
+    def status(self) -> str:
+        """``violated`` with a violation, else ``vacuous`` when no claim was checked, else ``verified``."""
+        return "violated" if self.violations else "verified" if self.checked else "vacuous"
+
     def to_dict(self) -> dict:
         return {
             **asdict(self),
             "not_applicable": [{"claim": c, "reason": r} for c, r in self.not_applicable],
             "ok": self.ok,
+            "status": self.status,
         }
 
 

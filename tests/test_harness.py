@@ -636,6 +636,12 @@ class TestTraceCsv:
         assert str(path) in str(error.value)
 
 
+# the report status of each checked-in config's runs: the jump configs certify one
+# variation rate across the jump, so no claim applies to them (ROADMAP item 2)
+CONFIG_STATUS = {"compare_jump": "vacuous", "erasure_jump": "vacuous", "paper_delta002": "vacuous",
+                 "paper_delta004": "vacuous", "sine_steady": "verified"}
+
+
 def _run_in(tmp_path, config_name, *args):
     config = CONFIGS / config_name
     return main([args[0], "--config", str(config), "--out", str(tmp_path), *args[1:]])
@@ -688,6 +694,26 @@ class TestCliVerify:
         report = json.loads((tmp_path / "sine_report.json").read_text())
         assert report["verification"]["ok"] is True
         assert report["verification"]["tau_bound"] is not None
+
+    @pytest.mark.parametrize("command", ["simulate", "verify", "verify_trace"])
+    @pytest.mark.parametrize("config", sorted(CONFIG_STATUS))
+    def test_report_status_says_whether_any_claim_was_checked(self, tmp_path, capsys, config, command):
+        path = str(CONFIGS / f"{config}.json")
+        argv = ["simulate" if command == "simulate" else "verify", "--config", path, "--out", str(tmp_path / "out")]
+        if command == "verify_trace":
+            assert main(["simulate", "--config", path, "--out", str(tmp_path / "run")]) == 0
+            argv += ["--trace", str(next((tmp_path / "run").glob("*.csv")))]
+        capsys.readouterr()
+        code = main(argv)
+        report = json.loads(next((tmp_path / "out").glob("*.json")).read_text())
+        assert report["verification"]["status"] == CONFIG_STATUS[config]
+        assert (report["verification"]["checked"] == []) == (CONFIG_STATUS[config] == "vacuous")
+        # a trace_consistency violation exits 1 (erasure_jump's --trace run, ROADMAP item 3); a
+        # run that checked no claim exits 0 like one that held them all, but says so
+        assert code == (1 if report.get("trace_consistency") else 0)
+        if command != "simulate" and code == 0:
+            message = "no claim checked" if CONFIG_STATUS[config] == "vacuous" else "all applicable claims hold"
+            assert capsys.readouterr().out.startswith(f"{message} -> ")
 
     def test_small_floor_warns_but_passes(self, tmp_path, capsys):
         # shrink the floor below twice the variation rate: claims go n/a

@@ -296,6 +296,15 @@ class TestVerifyTheorem:
         assert doc["ok"] is True
         assert isinstance(doc["violations"], list)
 
+    def test_status_tells_a_vacuous_pass_from_a_verified_one(self):
+        trace, samples, variation = _sine_run()
+        report = verify_theorem(trace, samples, variation)
+        assert report.checked and report.to_dict()["status"] == report.status == "verified"
+        report.checked.clear()  # ok, yet nothing was checked
+        assert report.ok and report.to_dict()["status"] == report.status == "vacuous"
+        report.violations.append(Violation("sample_error", 3, "stand-in"))
+        assert report.to_dict()["status"] == report.status == "violated"
+
 
 class TestOneSettlingPredicate:
     """detect_settling and verify_theorem read one premise and one predicate."""

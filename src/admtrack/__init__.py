@@ -73,7 +73,6 @@ from .signals import (
 from .theory import (
     Violation,
     acquisition_bound,
-    detect_settling,
     settling_window,
     steady_error_bounds,
     verify_theorem,

@@ -293,14 +293,11 @@ class Trace:
         if any(column is not None and len(column) != n for column in map(vars(self).get, self.COLUMNS)):
             raise ParameterError("trace columns differ in length")
 
-    def x_list(self) -> list:
-        """``x`` as Python floats, or None at every step of a trace without samples."""
-        return [None] * len(self) if self.x is None else self.x.tolist()
-
     @functools.cached_property
     def records(self) -> tuple[StepRecord, ...]:
         k = np.arange(len(self))
-        columns = [self.x_list() if name == "x" else getattr(self, name).tolist() for name in self.COLUMNS]
+        columns = [[None] * len(self) if column is None else column.tolist()  # no samples: an x of None at every step
+                   for column in map(vars(self).get, self.COLUMNS)]
         return tuple(map(StepRecord, k.tolist(), (k * self.params.delta).tolist(), *columns))
 
     def __len__(self) -> int:
@@ -318,9 +315,6 @@ class Trace:
 
     def bits(self) -> list[Symbol]:
         return self.h.tolist()
-
-    def switch_indices(self) -> list[int]:
-        return np.flatnonzero(self.in_switch).tolist()
 
 
 def _differs(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -203,11 +203,9 @@ class SampledSignal:
 
 @dataclass(frozen=True)
 class VariationBound:
-    """Certifies |x(t) - x(t_k)| <= rate*delta on full cells inside window."""
+    """Certifies |x(t) - x(t_k)| <= rate*delta on the full cells of the window it was estimated on."""
 
     rate: float
-    window: tuple[float, float]
-    oversample_factor: int
 
 
 @dataclass(frozen=True)
@@ -323,7 +321,7 @@ def estimate_variation_bound(
         x = spec.at_array(cell_grid(chunk, delta, oversample_factor))
         # column 0 is x(t_k); fmax skips NaN as the comparison max(worst, err) would
         worst = float(np.fmax.reduce(np.abs(x - x[:, :1]), axis=None, initial=worst))
-    return VariationBound(rate=worst / delta, window=(alpha, beta), oversample_factor=oversample_factor)
+    return VariationBound(rate=worst / delta)
 
 
 def fit_growth_bound(samples: SampledSignal, exponent: float = 1.0) -> GrowthBound:

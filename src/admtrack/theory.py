@@ -18,7 +18,7 @@ variation rate ``D`` (see :mod:`admtrack.signals`) when the floor satisfies
 :func:`verify_theorem` evaluates all of these on a concrete trace and
 reports violations; claims whose preconditions fail are reported as not
 applicable instead. After a signal jump at time ``s`` the same checks can be
-re-applied to the trace suffix (``start_index = restart_index(delta, s)``)
+re-applied to the trace suffix (``start_index = signals.restart_index(delta, s)``)
 with the initial estimate and slope taken from the trace.
 """
 
@@ -32,7 +32,7 @@ import numpy as np
 
 from .codec import AdaptationRule, CodecParams, Trace
 from .errors import DivergenceError, DomainError, NumericError, ParameterError
-from .signals import _EPS, _TINY, CHUNK_CELLS, GrowthBound, SampledSignal, VariationBound, cell_grid, restart_index
+from .signals import _EPS, _TINY, CHUNK_CELLS, GrowthBound, SampledSignal, VariationBound, cell_grid
 
 __all__ = [
     "Violation",
@@ -40,9 +40,7 @@ __all__ = [
     "acquisition_bound",
     "settling_window",
     "steady_error_bounds",
-    "detect_settling",
     "verify_theorem",
-    "restart_index",
 ]
 
 
@@ -148,24 +146,6 @@ def steady_error_bounds(params: CodecParams, rate: float) -> tuple[float, float]
     return sample_bound, interval_bound
 
 
-def detect_settling(
-    trace: Trace,
-    x_samples: SampledSignal,
-    rate: float,
-    start_index: int = 0,
-) -> Optional[int]:
-    """First step from ``start_index`` on whose slope sits exactly on the
-    floor with the sample error already inside the steady band, or None: the
-    ``eta`` of :func:`verify_theorem`. Raises ParameterError with the
-    verifier's not-applicable reason where the premise fails."""
-    reason = _steady_premise(trace.params, rate)
-    if reason is not None:
-        raise ParameterError(reason)
-    _check_grids(trace, x_samples)
-    bound = steady_error_bounds(trace.params, rate)[0]
-    return _settled(trace, x_samples.values, start_index, bound)[1]
-
-
 def _steady_premise(params: CodecParams, rate: float) -> Optional[str]:
     """Why the settling and steady-state claims do not apply, or None when
     their premise holds: the modified rule with ``0 < mbar`` and ``mbar >= 2*rate``."""
@@ -176,26 +156,6 @@ def _steady_premise(params: CodecParams, rate: float) -> Optional[str]:
     if params.mbar < 2.0 * rate:
         return f"floor {params.mbar} below twice the variation rate {rate}"
     return None
-
-
-def _settled(trace: Trace, xs: np.ndarray, first: int, sample_bound: float) -> tuple[np.ndarray, Optional[int]]:
-    """The settling predicate (slope exactly on the floor, sample error
-    inside the steady band) on the steps from ``first`` on, and the first
-    step that meets it, or None."""
-    rows = slice(first, None)
-    settled = (trace.m[rows] == trace.params.mbar) & (np.abs(xs[rows] - trace.y[rows]) <= sample_bound)
-    return settled, (first + int(settled.argmax()) if settled.any() else None)
-
-
-def _check_grids(trace: Trace, x_samples: SampledSignal) -> None:
-    if x_samples.delta != trace.params.delta:
-        raise ParameterError(
-            f"sample grid delta {x_samples.delta!r} != trace delta {trace.params.delta!r}"
-        )
-    if len(x_samples) != len(trace):
-        raise ParameterError(
-            f"sample count {len(x_samples)} != trace length {len(trace)}"
-        )
 
 
 def verify_theorem(
@@ -217,8 +177,11 @@ def verify_theorem(
     initial conditions (the post-jump restart reading).
     """
     params = trace.params
-    _check_grids(trace, x_samples)
+    if x_samples.delta != params.delta:
+        raise ParameterError(f"sample grid delta {x_samples.delta!r} != trace delta {params.delta!r}")
     n = len(trace)
+    if len(x_samples) != n:
+        raise ParameterError(f"sample count {len(x_samples)} != trace length {n}")
     if n == 0:
         raise ParameterError("empty trace")
     if not 0 <= start_index < n:
@@ -280,7 +243,10 @@ def _check_settling_and_steady(report, trace, xs, spec, rate, switches, factor) 
         return
 
     first, tau = report.start_index, report.tau
-    settled, report.eta = _settled(trace, xs, first, report.sample_error_bound)
+    # the settling predicate: the slope exactly on the floor, the sample error inside the steady band
+    in_band = np.abs(xs[first:] - trace.y[first:]) <= report.sample_error_bound
+    settled = (trace.m[first:] == trace.params.mbar) & in_band
+    report.eta = first + int(settled.argmax()) if settled.any() else None
 
     # settling: a floored, in-band step must exist within the window past tau
     if tau is None:

@@ -126,7 +126,7 @@ def test_a3_symbol_runs_and_switch_gaps_after_settling(spec):
     for k in range(eta + 2, len(bits)):
         run = run + 1 if bits[k] == bits[k - 1] else 1
         assert run <= 3, f"symbol run of {run} ending at step {k}"
-    switches = [s for s in trace.switch_indices() if s >= eta]
+    switches = [r.k for r in trace.records[eta:] if r.in_switch]
     gaps = [b - a for a, b in zip(switches, switches[1:])]
     assert max(gaps) <= 3
 
@@ -143,7 +143,7 @@ def test_a4_first_switch_within_acquisition_bound(gap):
     assert verify_growth(samples, growth) == []  # the certificate is verified
 
     _, trace = encode_signal(params, samples)
-    tau = trace.switch_indices()[0]
+    tau = next(r.k for r in trace.records if r.in_switch)
     bound = acquisition_bound(params, gap, growth)
     assert tau <= bound, f"first switch {tau} exceeds bound {bound}"
 

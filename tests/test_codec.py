@@ -56,7 +56,7 @@ def test_hand_trace_exact(hand_params, hand_samples):
     assert [r.y for r in trace.records] == HAND_Y
     assert [r.m for r in trace.records] == HAND_M
     assert bits == HAND_H
-    assert trace.switch_indices() == sorted(HAND_SWITCHES)
+    assert np.flatnonzero(trace.in_switch).tolist() == sorted(HAND_SWITCHES)
 
 
 def test_hand_trace_tie_step(hand_params, hand_samples):
@@ -316,7 +316,7 @@ class TestTraceSamples:
     def test_decode_trace_has_no_samples(self, hand_params, hand_samples):
         bits, _ = encode_signal(hand_params, hand_samples)
         trace = decode_bitstream(hand_params, bits)
-        assert trace.x is None and trace.x_list() == [None] * 10
+        assert trace.x is None and [r.x for r in trace.records] == [None] * 10
         assert Trace(hand_params, trace.records) == trace
 
     def test_records_mixing_present_and_absent_samples_are_refused(self, hand_params, hand_samples):
@@ -331,7 +331,7 @@ class TestTraceSamples:
     def test_columns_mixing_present_and_absent_samples_are_refused(self, hand_params, hand_samples):
         _, trace = encode_signal(hand_params, hand_samples)
         columns = {name: getattr(trace, name) for name in Trace.COLUMNS}
-        columns["x"] = trace.x_list()
+        columns["x"] = trace.x.tolist()
         columns["x"][2] = None
         with pytest.raises(ParameterError, match="trace column x must be a sequence of numbers, got object"):
             Trace.from_columns(hand_params, **columns)
@@ -380,7 +380,7 @@ def test_steady_slope_values_are_exact_across_parameter_draws():
     # breaking exact {mbar, a*mbar} membership in steady state
     import random
 
-    from admtrack import detect_settling
+    from admtrack import VariationBound, verify_theorem
 
     rng = random.Random(12345)
     for _ in range(300):
@@ -394,7 +394,7 @@ def test_steady_slope_values_are_exact_across_parameter_draws():
         )
         samples = SampledSignal(delta=params.delta, values=(level,) * 250)
         _, trace = encode_signal(params, samples)
-        eta = detect_settling(trace, samples, rate=0.0)
+        eta = verify_theorem(trace, samples, VariationBound(rate=0.0)).eta
         if eta is None:
             continue
         lifted = a * mbar

@@ -334,7 +334,7 @@ def test_verify_theorem_matches_scalar_oracle(seed, monkeypatch):
     trace, samples, certified, factor = random_run(rng)
     # an undersized rate shrinks both error bounds and provokes violations
     rate = certified.rate * rng.choice([1.0, 0.5, 0.1, 0.0])
-    variation = VariationBound(rate=rate, window=certified.window, oversample_factor=factor)
+    variation = VariationBound(rate=rate)
     start = rng.choice([0, rng.randrange(len(trace))])
     growth = rng.choice([None, GrowthBound(scale=8.0, exponent=1.0)])
     kwargs = dict(growth=growth, oversample_factor=factor, start_index=start)
@@ -348,7 +348,7 @@ def test_oracle_comparison_covers_interval_error_violations(monkeypatch):
     for seed in range(60):
         rng = random.Random(2000 + seed)
         trace, samples, certified, factor = random_run(rng)
-        variation = VariationBound(rate=0.0, window=certified.window, oversample_factor=factor)
+        variation = VariationBound(rate=0.0)
         report = verify_theorem(trace, samples, variation, oversample_factor=factor)
         expected = oracle_verify(monkeypatch, trace, samples, variation, oversample_factor=factor)
         assert report.to_dict() == expected.to_dict()
@@ -363,7 +363,7 @@ def test_interval_error_over_several_chunks(monkeypatch):
     samples = sample(spec, delta, (2 * CHUNK_CELLS + 50) * delta)
     params = CodecParams(y0=0.0, m0=3.2, mbar=3.2, a=1.5, delta=delta)
     _, trace = encode_signal(params, samples)
-    variation = VariationBound(rate=0.0, window=(0.0, 1.0), oversample_factor=8)
+    variation = VariationBound(rate=0.0)
     report = verify_theorem(trace, samples, variation, oversample_factor=8)
     expected = oracle_verify(monkeypatch, trace, samples, variation, oversample_factor=8)
     assert report.to_dict() == expected.to_dict()
@@ -384,7 +384,7 @@ def test_tied_worst_error_reports_the_first_time(monkeypatch):
         ),
     )
     samples = SampledSignal(delta=1.0, values=(0.0, -10.0), spec=spec)
-    variation = VariationBound(rate=0.0, window=(0.0, 2.0), oversample_factor=2)
+    variation = VariationBound(rate=0.0)
     report = verify_theorem(trace, samples, variation, oversample_factor=2)
     expected = oracle_verify(monkeypatch, trace, samples, variation, oversample_factor=2)
     assert report.to_dict() == expected.to_dict()
@@ -520,7 +520,7 @@ def near_bound_runs(draw):
         params, x=x, y=x - err, h=h, m=m,
         in_switch=(rng.random(n) < 0.3) & (m != math.inf), substituted=None,
     )
-    variation = VariationBound(rate=rate, window=(0.0, n * delta), oversample_factor=factor)
+    variation = VariationBound(rate=rate)
     return trace, SampledSignal(delta=delta, values=x, spec=spec), variation, factor
 
 
@@ -719,7 +719,7 @@ def trace_column(trace, name):
     column holds, from its records."""
     if name in ("k", "t"):
         return [getattr(r, name) for r in trace.records]
-    return trace.x_list() if name == "x" else getattr(trace, name).tolist()
+    return [r.x for r in trace.records] if name == "x" else getattr(trace, name).tolist()
 
 
 def assert_same_columns(trace, records):
@@ -1714,7 +1714,7 @@ def steady_run():
 
 
 def columns_of(trace):
-    return {name: trace.x_list() if name == "x" else getattr(trace, name).tolist()
+    return {name: [r.x for r in trace.records] if name == "x" else getattr(trace, name).tolist()
             for name in Trace.COLUMNS}
 
 

@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from admtrack import (
@@ -22,7 +23,6 @@ from admtrack import (
     Violation,
     acquisition_bound,
     decode_bitstream,
-    detect_settling,
     encode_signal,
     estimate_variation_bound,
     restart_index,
@@ -35,27 +35,31 @@ from admtrack import (
 from conftest import HAND_SWITCHES
 
 
+def switch_set(trace):
+    return set(np.flatnonzero(trace.in_switch).tolist())
+
+
 class TestSwitchSet:
     def test_hand_trace(self, hand_params, hand_samples):
         _, trace = encode_signal(hand_params, hand_samples)
-        assert set(trace.switch_indices()) == HAND_SWITCHES
+        assert switch_set(trace) == HAND_SWITCHES
 
     def test_matches_recorded_flags(self, hand_params, hand_samples):
         _, trace = encode_signal(hand_params, hand_samples)
         bits = trace.bits()
-        assert set(trace.switch_indices()) == {k for k in range(1, len(bits)) if bits[k - 1] * bits[k] < 0}
+        assert switch_set(trace) == {k for k in range(1, len(bits)) if bits[k - 1] * bits[k] < 0}
 
     def test_all_equal_bits(self, hand_params):
         trace = decode_bitstream(hand_params, [1] * 8)
-        assert set(trace.switch_indices()) == set()
+        assert switch_set(trace) == set()
 
     def test_alternating_bits(self, hand_params):
         trace = decode_bitstream(hand_params, [1, -1] * 4)
-        assert set(trace.switch_indices()) == {1, 2, 3, 4, 5, 6, 7}
+        assert switch_set(trace) == {1, 2, 3, 4, 5, 6, 7}
 
     def test_never_contains_zero(self, hand_params):
         trace = decode_bitstream(hand_params, [-1, 1])
-        assert 0 not in trace.switch_indices()
+        assert 0 not in switch_set(trace)
 
 
 class TestAcquisitionBound:
@@ -152,27 +156,41 @@ class TestSteadyErrorBounds:
     def test_nan_rate_refused_through_both_entry_points(self, hand_params, hand_samples):
         # NaN fails every comparison, so a test for rate < 0 alone lets it pass
         _, trace = encode_signal(hand_params, hand_samples)
-        variation = VariationBound(rate=math.nan, window=(0.0, 10.0), oversample_factor=32)
-        for check in (lambda: detect_settling(trace, hand_samples, math.nan),
+        variation = VariationBound(rate=math.nan)
+        for check in (lambda: steady_error_bounds(hand_params, math.nan),
                       lambda: verify_theorem(trace, hand_samples, variation)):
             with pytest.raises(ParameterError, match="variation rate must be >= 0, got nan"):
                 check()
 
 
+def settle(trace, samples, rate, start_index=0):
+    """The verifier's report on ``trace``: its ``eta`` is the settling step."""
+    return verify_theorem(trace, samples, VariationBound(rate=rate), start_index=start_index)
+
+
+def first_settled(trace, samples, bound, start=0):
+    """The settling predicate step by step: the first step from ``start`` on
+    whose slope is exactly the floor and whose sample error is within ``bound``."""
+    return next((r.k for r in trace.records[start:]
+                 if r.m == trace.params.mbar and abs(samples.values[r.k] - r.y) <= bound), None)
+
+
 class TestDetectSettling:
+    """The settling step is the ``eta`` of :func:`verify_theorem`."""
+
     def test_hand_trace_settles_at_8(self, hand_params, hand_samples):
         _, trace = encode_signal(hand_params, hand_samples)
         # first step with the slope on the floor and |x-y| <= a*mbar*delta = 2
-        assert detect_settling(trace, hand_samples, rate=0.0) == 8
+        assert settle(trace, hand_samples, rate=0.0).eta == 8
 
     def test_never_reaching_the_floor(self, hand_samples):
         params = CodecParams(y0=0.0, m0=1.0, mbar=0.01, a=2.0, delta=1.0)
         _, trace = encode_signal(params, hand_samples)
-        assert detect_settling(trace, hand_samples, rate=0.0) is None
+        assert settle(trace, hand_samples, rate=0.0).eta is None
 
     def test_returned_index_satisfies_both_conditions(self, hand_params, hand_samples):
         _, trace = encode_signal(hand_params, hand_samples)
-        eta = detect_settling(trace, hand_samples, rate=0.0)
+        eta = settle(trace, hand_samples, rate=0.0).eta
         record = trace.records[eta]
         assert record.m == hand_params.mbar
         assert abs(hand_samples.values[eta] - record.y) <= 2.0
@@ -180,13 +198,15 @@ class TestDetectSettling:
     def test_jayant_rejected(self, hand_samples):
         params = CodecParams(y0=0.0, m0=1.0, mbar=0.0, a=2.0, delta=1.0, rule=AdaptationRule.JAYANT)
         _, trace = encode_signal(params, hand_samples)
-        with pytest.raises(ParameterError):
-            detect_settling(trace, hand_samples, rate=0.0)
+        report = settle(trace, hand_samples, rate=0.0)
+        assert report.eta is None
+        assert dict(report.not_applicable)["settling"] == "Jayant rule carries no floor guarantees"
 
     def test_floor_below_twice_rate_rejected(self, hand_params, hand_samples):
         _, trace = encode_signal(hand_params, hand_samples)
-        with pytest.raises(ParameterError):
-            detect_settling(trace, hand_samples, rate=0.9)
+        report = settle(trace, hand_samples, rate=0.9)
+        assert report.eta is None
+        assert dict(report.not_applicable)["settling"] == "floor 1.0 below twice the variation rate 0.9"
 
 
 def _sine_run(delta=0.01, horizon=4.0, factor=32, y0=5.0):
@@ -246,7 +266,7 @@ class TestVerifyTheorem:
         # for the gap of 10 under this growth certificate is 3
         trace = decode_bitstream(hand_params, [1] * n)
         samples = sample(Constant(10.0), 1.0, float(n))
-        variation = VariationBound(rate=0.0, window=(0.0, float(n)), oversample_factor=32)
+        variation = VariationBound(rate=0.0)
         return verify_theorem(trace, samples, variation, growth=GrowthBound(scale=1.0, exponent=1.0))
 
     def test_no_switch_by_the_acquisition_bound_is_a_violation(self, hand_params):
@@ -307,18 +327,15 @@ class TestVerifyTheorem:
 
 
 class TestOneSettlingPredicate:
-    """detect_settling and verify_theorem read one premise and one predicate."""
-
-    @staticmethod
-    def _variation(samples, rate):
-        return VariationBound(rate=rate, window=(0.0, len(samples) * samples.delta), oversample_factor=32)
+    """verify_theorem's ``eta`` is the one settling predicate, and its premise
+    failures are the settling and steady-state claims' not-applicable reason."""
 
     @pytest.mark.parametrize("start", [0, 1, 9, 150, 399])
     def test_detect_settling_is_the_verifiers_eta(self, start):
         trace, samples, variation = _sine_run()
         report = verify_theorem(trace, samples, variation, start_index=start)
         assert report.eta is not None
-        assert detect_settling(trace, samples, variation.rate, start_index=start) == report.eta
+        assert first_settled(trace, samples, report.sample_error_bound, start) == report.eta
 
     @pytest.mark.parametrize("params, eta", [
         (CodecParams(y0=0.0, m0=1.0, mbar=1.0, a=2.0, delta=1.0), 8),
@@ -326,8 +343,8 @@ class TestOneSettlingPredicate:
     ], ids=["settles", "never_settles"])
     def test_hand_trace_agrees(self, hand_samples, params, eta):
         _, trace = encode_signal(params, hand_samples)
-        report = verify_theorem(trace, hand_samples, self._variation(hand_samples, 0.0))
-        assert detect_settling(trace, hand_samples, 0.0) == report.eta == eta
+        report = settle(trace, hand_samples, 0.0)
+        assert first_settled(trace, hand_samples, report.sample_error_bound) == report.eta == eta
 
     @pytest.mark.parametrize("params, rate, reason", [
         (CodecParams(y0=0.0, m0=1.0, mbar=0.0, a=2.0, delta=1.0, rule=AdaptationRule.JAYANT), 0.0,
@@ -338,12 +355,10 @@ class TestOneSettlingPredicate:
     ], ids=["jayant", "zero_floor", "floor_below_twice_rate"])
     def test_premise_failure_raises_the_verifiers_reason(self, hand_samples, params, rate, reason):
         _, trace = encode_signal(params, hand_samples)
-        report = verify_theorem(trace, hand_samples, self._variation(hand_samples, rate))
+        report = settle(trace, hand_samples, rate)
         reasons = dict(report.not_applicable)
         assert reasons["settling"] == reasons["steady_state"] == reason
-        with pytest.raises(ParameterError) as excinfo:
-            detect_settling(trace, hand_samples, rate)
-        assert str(excinfo.value) == reason
+        assert report.eta is None and not {"settling", "sample_error"} & set(report.checked)
 
 
 class TestRestartAfterJump:
@@ -355,7 +370,8 @@ class TestRestartAfterJump:
     def test_restart_index_has_one_home(self):
         from admtrack import signals, theory
 
-        assert theory.restart_index is signals.restart_index is restart_index
+        assert signals.restart_index is restart_index
+        assert not hasattr(theory, "restart_index")
 
     def test_suffix_verification_clean(self):
         spec = Piecewise(segments=((0.0, Constant(2.0)), (1.0, Ramp(slope=0.03, intercept=-1.0))))

@@ -31,8 +31,10 @@ per step (:func:`_symbols`), and its trace is the decode scan of its symbols
 plus the samples, returned once every symbol is confirmed against the
 comparison rule on the scan's estimates. Where either cannot vouch for the
 result (Jayant, bad symbols or samples, any error) it declines, and the
-per-step loop runs, with its errors. A :class:`Trace` holds typed numpy
-columns.
+per-step loop runs, with its errors. The comparison loop computes the
+estimates in Python floats too, and a scan estimate that differs from them
+by a bit is a NumericError: the mirror is checked between two arithmetics.
+A :class:`Trace` holds typed numpy columns.
 """
 
 from __future__ import annotations
@@ -575,21 +577,24 @@ def _off_rule(y: np.ndarray, x: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.where(y < x, PLUS, np.where(y > x, MINUS, -h_prev)) != h
 
 
-def _symbols(params: CodecParams, values) -> list[Symbol]:
-    """The modified rule's symbols for finite float samples, from the
-    comparisons alone: no check, record or call per step. The caller
-    confirms every symbol, so a fault here can only cost time."""
+def _symbols(params: CodecParams, values) -> tuple[list[Symbol], list[float]]:
+    """The modified rule's symbols for finite float samples, and the
+    estimates they were compared with, from the comparisons alone: no check,
+    record or call per step. The caller confirms every symbol, so a wrong
+    one can only cost time; the estimates are the encoder's own arithmetic,
+    which the caller compares with the decode scan's."""
     delta, mbar = params.delta, params.mbar
     # the slopes by power, off the floor or on it, each computed on first use
     free, floor = (functools.cache(functools.partial(_slope_value, params, floored=f)) for f in (False, True))
     y, m = params.y0, params.m0
     h = 1 if y < values[0] else -1  # step 0: a tie flips the +1 before it
     move = h * m * delta  # the estimate's next move, as the loop rounds it
-    bits = [h]
-    add = bits.append
+    bits, ys = [h], [y]
+    add, add_y = bits.append, ys.append
     power, floored, held = 0, False, False  # held: the last step was a switch
     for x in islice(values, 1, None):
         y += move
+        add_y(y)
         s = 1 if y < x else -1 if y > x else -h
         if s != h:
             h, held = s, True
@@ -610,7 +615,7 @@ def _symbols(params: CodecParams, values) -> list[Symbol]:
             m = floor(power) if floored else free(power)
             move = s * m * delta
         add(s)
-    return bits
+    return bits, ys
 
 
 def _encode(params: CodecParams, x: np.ndarray) -> Optional[Trace]:
@@ -619,15 +624,22 @@ def _encode(params: CodecParams, x: np.ndarray) -> Optional[Trace]:
     ``x`` itself as its ``x``. None where it cannot vouch: no samples, an
     overflowing ``a**p``, the scan declining (a slope outside (0, inf), a
     non-finite estimate), or a symbol that breaks the comparison rule on the
-    scan's estimates. Bits that pass that check are the :func:`_step` loop's."""
+    scan's estimates. Bits that pass that check are the :func:`_step` loop's.
+    The scan's estimates must then be :func:`_symbols`' own, bit for bit: two
+    arithmetics that disagree are a NumericError, as the mirror's are."""
     if params.rule is _JAYANT or not len(x):
         return None
     try:
-        bits = _symbols(params, x.tolist())
+        bits, y = _symbols(params, x.tolist())
     except NumericError:
         return None
     trace = _scan(params, bits, x=x)
-    return None if trace is None or _off_rule(trace.y, x, trace.h).any() else trace
+    if trace is None or _off_rule(trace.y, x, trace.h).any():
+        return None
+    for k in np.flatnonzero(_differs(np.array(y), trace.y))[:1].tolist():
+        raise NumericError(f"decode scan's estimate differs from the encoder's at step {k}: "
+                           f"scan {trace.y[k].item()!r}, encoder {y[k]!r}")
+    return trace
 
 
 def encode_signal(params: CodecParams, samples) -> tuple[list[Symbol], Trace]:

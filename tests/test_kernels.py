@@ -1325,12 +1325,31 @@ def test_a_wrong_symbol_from_the_loop_only_costs_time(hand_params, hand_samples,
     fast = codec._symbols
 
     def faulty(params, values):
-        bits = fast(params, values)
+        bits, ys = fast(params, values)
         bits[position] = -bits[position]
-        return bits
+        return bits, ys
 
     monkeypatch.setattr(codec, "_symbols", faulty)
     assert encode_signal(hand_params, hand_samples) == want
+
+
+@pytest.mark.parametrize("path", ["encode_signal", "run_simulation"])
+def test_a_one_ulp_fault_in_the_scan_is_a_numeric_error(monkeypatch, path):
+    """The encode trace is the decode scan of the symbols, and so is the
+    decoder's: a fault in the scan would pass the mirror and check_trace. The
+    comparison loop's own estimates catch it."""
+    config = harness.load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "sine_steady.json"))
+    samples = sample(config.signal, config.codec.delta, config.horizon)
+    scan = codec._scan
+
+    def one_ulp_up(params, bits, x=None):
+        trace = scan(params, bits, x)
+        trace.y[7:] = np.nextafter(trace.y[7:], math.inf)
+        return trace
+
+    monkeypatch.setattr(codec, "_scan", one_ulp_up)
+    with pytest.raises(NumericError, match="decode scan's estimate differs from the encoder's at step 7: "):
+        encode_signal(config.codec, samples) if path == "encode_signal" else harness.run_simulation(config)
 
 
 # --- trace CSV writer and reader ----------------------------------------------

@@ -14,7 +14,9 @@ files into DIR, keeping their configured base names.
 
 Exit codes: 0 success / verified, 1 verification violations, 2 usage, config,
 format, or I/O errors. ``verify`` exits 0 on a run that checked no claim too
-(report status ``vacuous``), printing "no claim checked".
+(report status ``vacuous``), printing "no claim checked". A ``verify`` report's
+top-level ``status`` is ``violated`` when a claim or the trace's consistency
+check failed (exit 1), else its ``verification`` section's status.
 """
 
 from __future__ import annotations
@@ -159,13 +161,15 @@ def cmd_verify(args) -> int:
         result = run_simulation(config)
         trace, report = result.decoder_trace, result.report
     consistency = [Violation("trace_consistency", k, msg) for k, msg in check_trace(trace)]
-    found = [asdict(v) for v in consistency]
+    # the run's status: the claims' unless the trace is inconsistent with its own bits or samples
+    document = {"trace_consistency": [asdict(v) for v in consistency],
+                "status": "violated" if consistency else report.status}
     if args.trace:
         report_path = _out_path(config.outputs.report_json, args.out)
         write_json(report_path, {"codec": codec_to_dict(config.codec), "trace": args.trace,
-                                 "verification": report.to_dict(), "trace_consistency": found})
+                                 "verification": report.to_dict(), **document})
     else:
-        _, report_path = _write_run(result, args.out, trace_consistency=found)
+        _, report_path = _write_run(result, args.out, **document)
 
     for claim, reason in report.not_applicable:
         print(f"warning: claim {claim!r} not applicable: {reason}", file=sys.stderr)

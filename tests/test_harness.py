@@ -708,6 +708,12 @@ class TestCliVerify:
         report = json.loads(next((tmp_path / "out").glob("*.json")).read_text())
         assert report["verification"]["status"] == CONFIG_STATUS[config]
         assert (report["verification"]["checked"] == []) == (CONFIG_STATUS[config] == "vacuous")
+        # a verify report's own status sees trace_consistency too; erasure_jump's --trace
+        # run finds 16 problems there (ROADMAP item 3), so it reads violated
+        inconsistent = command == "verify_trace" and config == "erasure_jump"
+        assert report.get("status") == (None if command == "simulate" else
+                                        "violated" if inconsistent else CONFIG_STATUS[config])
+        assert bool(report.get("trace_consistency")) == inconsistent
         # a trace_consistency violation exits 1 (erasure_jump's --trace run, ROADMAP item 3); a
         # run that checked no claim exits 0 like one that held them all, but says so
         assert code == (1 if report.get("trace_consistency") else 0)

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from bisect import bisect_left
 from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
@@ -577,7 +578,7 @@ def _off_rule(y: np.ndarray, x: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.where(y < x, PLUS, np.where(y > x, MINUS, -h_prev)) != h
 
 
-def _symbols(params: CodecParams, values) -> tuple[list[Symbol], list[float]]:
+def _symbols(params: CodecParams, values) -> tuple[list[Symbol], array]:
     """The modified rule's symbols for finite float samples, and the
     estimates they were compared with, from the comparisons alone: no check,
     record or call per step. The caller confirms every symbol, so a wrong
@@ -589,7 +590,7 @@ def _symbols(params: CodecParams, values) -> tuple[list[Symbol], list[float]]:
     y, m = params.y0, params.m0
     h = 1 if y < values[0] else -1  # step 0: a tie flips the +1 before it
     move = h * m * delta  # the estimate's next move, as the loop rounds it
-    bits, ys = [h], [y]
+    bits, ys = [h], array("d", [y])  # 8 bytes an estimate
     add, add_y = bits.append, ys.append
     power, floored, held = 0, False, False  # held: the last step was a switch
     for x in islice(values, 1, None):
@@ -636,7 +637,7 @@ def _encode(params: CodecParams, x: np.ndarray) -> Optional[Trace]:
     trace = _scan(params, bits, x=x)
     if trace is None or _off_rule(trace.y, x, trace.h).any():
         return None
-    for k in np.flatnonzero(_differs(np.array(y), trace.y))[:1].tolist():
+    for k in np.flatnonzero(_differs(np.frombuffer(y), trace.y))[:1].tolist():
         raise NumericError(f"decode scan's estimate differs from the encoder's at step {k}: "
                            f"scan {trace.y[k].item()!r}, encoder {y[k]!r}")
     return trace

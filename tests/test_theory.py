@@ -163,9 +163,9 @@ class TestSteadyErrorBounds:
                 check()
 
 
-def settle(trace, samples, rate, start_index=0):
+def settle(trace, samples, rate):
     """The verifier's report on ``trace``: its ``eta`` is the settling step."""
-    return verify_theorem(trace, samples, VariationBound(rate=rate), start_index=start_index)
+    return verify_theorem(trace, samples, VariationBound(rate=rate))
 
 
 def first_settled(trace, samples, bound, start=0):

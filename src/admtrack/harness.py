@@ -20,7 +20,8 @@ field's default. Numbers are JSON numbers or numeric strings, never bools;
 ``oversample_factor`` and ``channel.seed`` are integers, the others fit a float.
 
 Trace CSVs have the fixed header ``k,t,x,y,h,M,in_switch`` (x cells are
-empty on every row of a trace without samples, or on none); report JSONs
+empty on every row of a trace without samples, or on none) and floats in
+``repr`` text, printed by orjson where its text is repr's; report JSONs
 are sorted-key documents. Identical configs produce byte-identical outputs.
 """
 
@@ -34,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import orjson
 
 from .codec import (
     MINUS,
@@ -365,22 +367,17 @@ _HEADER_LINE = ",".join(TRACE_COLUMNS) + "\r\n"
 # str(v) at index v for every int8 v (negative indices count from the end)
 _INT8_TEXT = tuple(map(str, range(128))) + tuple(map(str, range(-128, 0)))
 
-# Below this many rows np.unique's fixed cost outweighs the reprs it saves. For
-# the x, y and M columns of a sine trace, one repr per cell against the lookup:
-# 57 vs 91 µs at 50 rows, 112 vs 112 at 100, 462 vs 318 at 400 (numpy 2.4,
-# Python 3.11, x86-64 Xeon).
-LOOKUP_ROWS = 100
-
 
 def _float_text(column: np.ndarray) -> list:
-    """``repr`` of each float64 of ``column``; in a column of LOOKUP_ROWS or more
-    whose values mostly repeat, once per bit pattern (-0.0 == 0.0, but their reprs differ)."""
-    if len(column) >= LOOKUP_ROWS:
-        codes, index = np.unique(column.view(np.int64), return_inverse=True)
-        if 2 * len(codes) <= len(index):
-            text = list(map(repr, codes.view(np.float64).tolist()))
-            return list(map(text.__getitem__, index.tolist()))
-    return list(map(repr, column.tolist()))
+    """``repr`` of each float64 of a non-empty ``column``. orjson prints the shortest
+    round-trip text, which is repr's wherever 1e-4 <= |v| < 1e16 or v is +-0.0; every
+    other cell (1e16 is ``1e16`` there, 1e-05 ``0.00001``, inf and nan ``null``) keeps repr."""
+    column = np.ascontiguousarray(column, np.float64)  # orjson reads the buffer: C order, native bytes
+    text = orjson.dumps(column, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode("ascii").split(",")
+    magnitude = np.abs(column)
+    for i in np.flatnonzero(~((magnitude >= 1e-4) & (magnitude < 1e16) | (column == 0.0))).tolist():
+        text[i] = repr(column[i].item())
+    return text
 
 
 # one row's cells (every other entry, filled per chunk) and the separators after them
@@ -392,8 +389,8 @@ def write_trace_csv(path, trace: Trace, x_values=None) -> None:
     the x cells of a trace without samples, or they are empty. On a trace with
     samples, ``x_values`` must equal them bit for bit. Anything else is a ParameterError.
 
-    Rows end in CRLF; floats are ``repr``, ``in_switch`` 1/0. Each CHUNK_ROWS chunk is
-    one joined write, and a float column that repeats takes one ``repr`` per value."""
+    Rows end in CRLF; floats are ``repr`` text (see :func:`_float_text`), ``in_switch``
+    1/0. Each CHUNK_ROWS chunk is one joined write."""
     n = len(trace)
     with _replacing(path, encoding="ascii", newline="") as fh:
         samples = trace.x
@@ -412,7 +409,7 @@ def write_trace_csv(path, trace: Trace, x_values=None) -> None:
             rows, hi = slice(lo, lo + CHUNK_ROWS), min(lo + CHUNK_ROWS, n)
             cells = _ROW * (hi - lo)
             cells[0::width] = map(str, range(lo, hi))
-            cells[2::width] = map(repr, (np.arange(lo, hi) * trace.params.delta).tolist())  # grid times seldom repeat
+            cells[2::width] = _float_text(np.arange(lo, hi) * trace.params.delta)
             if samples is not None:
                 cells[4::width] = _float_text(samples[rows])
             cells[6::width] = _float_text(trace.y[rows])

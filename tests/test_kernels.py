@@ -69,7 +69,7 @@ from admtrack import (
     verify_theorem,
     write_trace_csv,
 )
-from admtrack.harness import CHUNK_ROWS, LOOKUP_ROWS, TRACE_COLUMNS
+from admtrack.harness import CHUNK_ROWS, TRACE_COLUMNS
 from admtrack.signals import CHUNK_CELLS, cell_grid
 
 
@@ -1495,41 +1495,49 @@ SPECIAL_FLOAT_BITS = float_bits(
 ) + [0x7FF8000000000000, -0x0008000000000000, 0x7FF0000000000001, -0x0000000000000001]
 
 
+# float64 bit patterns at the edges of the range where orjson's shortest
+# round-trip text is repr's (1e-4 <= |v| < 1e16, and +-0.0), and the neighbours
+# on either side, of both signs
+EDGE_FLOAT_BITS = float_bits(*(sign * v for sign in (1.0, -1.0) for v in (
+    np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e-4, 1.0),
+    np.nextafter(1e16, 0.0), 1e16, np.nextafter(1e16, math.inf), 0.0, 5e-324, math.inf,
+))) + [0x7FF8000000000000, -0x0008000000000000, 0x7FF0000000000001, 0x7FF8000000000001, -0x0000000000000001]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    n=st.one_of(st.integers(0, 40), st.sampled_from((LOOKUP_ROWS - 1, LOOKUP_ROWS, CHUNK_ROWS - 1, CHUNK_ROWS,
-                                                      CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 5))),
+    n=st.one_of(st.integers(0, 40), st.sampled_from((CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 5))),
     pools=st.lists(
-        st.lists(st.one_of(st.sampled_from(SPECIAL_FLOAT_BITS), st.integers(-2**63, 2**63 - 1)),
+        st.lists(st.one_of(st.sampled_from(SPECIAL_FLOAT_BITS + EDGE_FLOAT_BITS), st.integers(-2**63, 2**63 - 1)),
                  min_size=1, max_size=6),
         min_size=4, max_size=4),
     x_mode=st.sampled_from(("absent", "present")),
     x_values_form=st.sampled_from((None, "tuple", "list", "array")),
+    delta=st.sampled_from((0.01, 1e-6, 1e15)),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(n=CHUNK_ROWS + 1, pools=[float_bits(0.0, -0.0)] * 4, x_mode="absent",
-         x_values_form="tuple", seed=0)
+         x_values_form="tuple", delta=0.01, seed=0)
 @example(n=2 * CHUNK_ROWS + 5, pools=[SPECIAL_FLOAT_BITS] * 4, x_mode="absent",
-         x_values_form="array", seed=1)
-@example(n=LOOKUP_ROWS - 1, pools=[float_bits(0.0, -0.0)] * 4, x_mode="present",
-         x_values_form="list", seed=2)
-@example(n=LOOKUP_ROWS, pools=[float_bits(0.0, -0.0)] * 4, x_mode="present",
-         x_values_form="list", seed=2)
-@example(n=LOOKUP_ROWS - 1, pools=[float_bits(0.0, -0.0)] * 4, x_mode="present",
-         x_values_form=None, seed=2)
-@example(n=LOOKUP_ROWS, pools=[float_bits(0.0, -0.0)] * 4, x_mode="present",
-         x_values_form=None, seed=2)
-def test_trace_csv_writer_matches_oracle_on_any_float_bits(n, pools, x_mode, x_values_form, seed):
-    """Any float64 bit patterns in x, y, m and ``x_values``, repeated within
-    a chunk and across chunk boundaries, in chunks on either side of
-    LOOKUP_ROWS, with x absent or present, write the oracle's bytes and no RuntimeWarning. ``x_values`` are read as
-    float64 samples, so the oracle is given them as Python floats. On a trace with samples, ``x_values`` that
-    differ from them in any bit pattern are refused."""
+         x_values_form="array", delta=0.01, seed=1)
+@example(n=2 * CHUNK_ROWS + 5, pools=[EDGE_FLOAT_BITS] * 4, x_mode="absent",
+         x_values_form="array", delta=1e-6, seed=2)
+@example(n=CHUNK_ROWS + 1, pools=[EDGE_FLOAT_BITS] * 4, x_mode="present",
+         x_values_form=None, delta=1e15, seed=3)
+@example(n=40, pools=[EDGE_FLOAT_BITS] * 4, x_mode="present",
+         x_values_form="list", delta=1e15, seed=4)
+def test_trace_csv_writer_matches_oracle_on_any_float_bits(n, pools, x_mode, x_values_form, delta, seed):
+    """Any float64 bit patterns in x, y, m and ``x_values``, those at the edges of
+    orjson's agreement with repr among them, repeated within a chunk and across chunk
+    boundaries, with x absent or present, write the oracle's bytes and no RuntimeWarning.
+    ``delta`` takes the ``t`` cells across both edges (1e-6 below 1e-4, 1e15 past 1e16).
+    ``x_values`` are read as float64 samples, so the oracle is given them as Python floats.
+    On a trace with samples, ``x_values`` that differ from them in any bit pattern are refused."""
     rng = np.random.default_rng(seed)
     x, y, m, samples = (np.array(pool, np.int64).view(np.float64)[rng.integers(len(pool), size=n)]
                         for pool in pools)
     trace = Trace.from_columns(
-        CodecParams(y0=5.0, m0=13.0, mbar=13.0, a=1.5, delta=0.01),
+        CodecParams(y0=5.0, m0=13.0, mbar=13.0, a=1.5, delta=delta),
         y=y, h=rng.choice(np.array([PLUS, MINUS], np.int8), size=n), m=m,
         in_switch=rng.random(n) < 0.5, substituted=None,
         x={"absent": None, "present": x}[x_mode],
@@ -1548,6 +1556,31 @@ def test_trace_csv_writer_matches_oracle_on_any_float_bits(n, pools, x_mode, x_v
         oracle_write_trace_csv(old, trace, x_values=None if x_values is None else samples.tolist())
         with open(new, "rb") as a, open(old, "rb") as b:
             assert a.read() == b.read()
+
+
+@pytest.mark.parametrize("layout", ["strided", "big_endian"])
+def test_trace_csv_writer_reads_any_float64_layout(tmp_path, layout):
+    """Float columns handed over strided, or as big-endian float64, and strided
+    ``x_values``, write the oracle's bytes: the writer formats values, not buffers."""
+    n = CHUNK_ROWS + 9
+    values = np.sin(np.arange(2 * n) * 0.37) * 3.0  # every other one is used
+    values[[0, 4, 8]] = (1e16, 1e-05, -0.0)  # cells outside orjson's agreement with repr, and a signed zero
+    if layout == "strided":
+        x, y, m = values[::2], values[1::2], values[::-2]
+    else:
+        x, y, m = (column.astype(">f8") for column in (values[:n], values[n:], values[::-2]))
+    assert not (x.flags.c_contiguous and x.dtype.isnative)
+    params = CodecParams(y0=5.0, m0=13.0, mbar=13.0, a=1.5, delta=0.01)
+    common = dict(y=y, h=np.where(np.arange(n) % 3, PLUS, MINUS).astype(np.int8), m=m,
+                  in_switch=np.arange(n) % 2 == 0, substituted=None)
+    cases = {"samples": (Trace.from_columns(params, x=x, **common), None),
+             "x_values": (Trace.from_columns(params, x=None, **common), x)}
+    for name, (trace, x_values) in cases.items():
+        write_trace_csv(tmp_path / f"{name}.csv", trace, x_values=x_values)
+        oracle_write_trace_csv(tmp_path / f"{name}_old.csv", trace,
+                               x_values=None if x_values is None else x_values.tolist())
+        assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}_old.csv").read_bytes()
+        assert read_trace_csv(tmp_path / f"{name}.csv", params).y.tolist() == y.tolist()
 
 
 def test_canonical_files_skip_the_row_loop(tmp_path, monkeypatch):
